@@ -53,6 +53,16 @@ def _parse_rates(text):
         raise ConfigError(f"bad rate list {text!r}: {e}")
 
 
+def _parse_q(text):
+    try:
+        q = parse_rational(text)
+    except (ValueError, ZeroDivisionError) as e:
+        raise ConfigError(f"bad --q {text!r}: {e}")
+    if q == 0:
+        raise ConfigError("q must be nonzero")
+    return q
+
+
 def _parse_composition(text):
     try:
         parts = tuple(int(v) for v in text.split(","))
@@ -93,9 +103,7 @@ def _load_config(args):
             raise ConfigError("perm space requires --n")
         if args.q is None:
             raise ConfigError("perm space requires --q")
-        q = parse_rational(args.q)
-        if q == 0:
-            raise ConfigError("q must be nonzero")
+        q = _parse_q(args.q)
         if args.rates is None:
             return generic_perm_rates(args.n, seed=args.seed, q=q)
         x = _parse_rates(args.rates)
@@ -108,9 +116,7 @@ def _load_config(args):
         if args.q is None:
             raise ConfigError("word space requires --q")
         m = _parse_composition(args.m)
-        q = parse_rational(args.q)
-        if q == 0:
-            raise ConfigError("q must be nonzero")
+        q = _parse_q(args.q)
         if args.rates is None:
             return generic_word_rates(m, seed=args.seed, q=q)
         xbar = _parse_rates(args.rates)
@@ -266,7 +272,7 @@ def cmd_lump_check(args) -> int:
         m = _parse_composition(args.m)
         if args.q is None:
             raise ConfigError("word diagrams require --q")
-        q = parse_rational(args.q)
+        q = _parse_q(args.q)
         word_rates = (
             generic_word_rates(m, seed=args.seed, q=q)
             if args.rates is None
@@ -356,6 +362,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "n", None) is not None and args.n < 1:
+            raise ConfigError(f"--n must be at least 1, got {args.n}")
         return args.func(args)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -1,6 +1,8 @@
 """
-Hecke generator actions on permutations and words, the diagonal weight
-operators, and the resulting transition matrices.
+Hecke generator actions on words, the diagonal weight operators, and the
+resulting transition matrices.  The permutation chain is the word chain at
+content (1^n): every letter occurs once, so the perm entry points only
+rewrap their rates as WordRates and delegate.
 
 All operators act on the right.  A LinearOperator stores its matrix in the
 row-to-column convention: entry (r, c) is the coefficient of state c in
@@ -9,7 +11,7 @@ the same order, matrix(A) @ matrix(B).
 
 The generator acts on a sequence by
 
-    s . T_i = q * swap(s, i)              if s[i+1] < s[i]   (<= for words)
+    s . T_i = q * swap(s, i)              if s[i+1] <= s[i]
               swap(s, i) + (q-1) * s      if s[i+1] > s[i]
 
 and the full shuffle operator is sum_{i=1}^{n} T_{i-1} ... T_1 X, where the
@@ -19,8 +21,9 @@ q = 1 this is the classical move-to-front chain.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .combinatorics import perm_states, q_int, word_states
+from .combinatorics import q_int, word_states
 from .exact import Matrix, mat_mul
 
 __all__ = [
@@ -59,6 +62,10 @@ class PermRates:
     def y(self, i: int) -> Fraction:
         """Change of variables y_i = x_i / q^(n-i), 1-based."""
         return self.x[i - 1] / self.q ** (self.n - i)
+
+    def as_word(self) -> "WordRates":
+        """The same rates on the word chain of content (1^n)."""
+        return WordRates(self.q, self.x, (1,) * self.n)
 
 
 @dataclass(frozen=True)
@@ -101,6 +108,17 @@ class WordRates:
             self.q ** (self.n - self.n_j(j)) * q_int(self.m[j - 1], self.q)
         )
 
+    @cached_property
+    def kappa_coeffs(self) -> tuple:
+        """c_j = xbar_j q^(n_j) / [m_j]_q for every letter j, computed once."""
+        q = self.q
+        out = []
+        n_j = 0
+        for xbar, part in zip(self.xbar, self.m):
+            n_j += part
+            out.append(xbar * q**n_j / q_int(part, q))
+        return tuple(out)
+
 
 @dataclass(frozen=True)
 class LinearOperator:
@@ -124,14 +142,13 @@ def _swap(seq, i):
     return tuple(out)
 
 
-def _generator_matrix(states, i, q, equal_goes_first):
+def _generator_matrix(states, i, q):
     index = {s: r for r, s in enumerate(states)}
     q = Fraction(q)
     m = Matrix.zeros(len(states), len(states))
     for r, s in enumerate(states):
-        a, b = s[i - 1], s[i]
         swapped = _swap(s, i)
-        if b < a or (equal_goes_first and b == a):
+        if s[i] <= s[i - 1]:
             m.data[r][index[swapped]] += q
         else:
             m.data[r][index[swapped]] += Fraction(1)
@@ -141,10 +158,7 @@ def _generator_matrix(states, i, q, equal_goes_first):
 
 def hecke_generator_perm(i: int, n: int, q) -> LinearOperator:
     """Right action of T_i on S_n, states in lexicographic order."""
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"generator index {i} out of range for n={n}")
-    states = tuple(perm_states(n))
-    return LinearOperator(states, _generator_matrix(states, i, q, equal_goes_first=False))
+    return hecke_generator_word(i, (1,) * n, q)
 
 
 def hecke_generator_word(i: int, m, q) -> LinearOperator:
@@ -153,16 +167,12 @@ def hecke_generator_word(i: int, m, q) -> LinearOperator:
     if not 1 <= i <= n - 1:
         raise ValueError(f"generator index {i} out of range for n={n}")
     states = tuple(word_states(m))
-    return LinearOperator(states, _generator_matrix(states, i, q, equal_goes_first=True))
+    return LinearOperator(states, _generator_matrix(states, i, q))
 
 
 def weight_op_perm(rates: PermRates) -> LinearOperator:
     """Diagonal operator sending a permutation to x_{pi_1}/q^(n-pi_1) times itself."""
-    states = tuple(perm_states(rates.n))
-    m = Matrix.zeros(len(states), len(states))
-    for r, s in enumerate(states):
-        m.data[r][r] = rates.y(s[0])
-    return LinearOperator(states, m)
+    return weight_op_word(rates.as_word())
 
 
 def weight_op_word(rates: WordRates) -> LinearOperator:
@@ -190,19 +200,14 @@ def _shuffle_sum(generator_matrices, size):
 
 def transition_matrix_perm(rates: PermRates) -> LinearOperator:
     """Transition matrix of the weighted shuffle on S_n (lexicographic states)."""
-    n = rates.n
-    states = tuple(perm_states(n))
-    gens = [_generator_matrix(states, i, rates.q, equal_goes_first=False) for i in range(1, n)]
-    shuffle = _shuffle_sum(gens, len(states))
-    weight = weight_op_perm(rates).matrix
-    return LinearOperator(states, mat_mul(shuffle, weight))
+    return transition_matrix_word(rates.as_word())
 
 
 def transition_matrix_word(rates: WordRates) -> LinearOperator:
     """Transition matrix of the weighted shuffle on words of content m."""
     n = rates.n
     states = tuple(word_states(rates.m))
-    gens = [_generator_matrix(states, i, rates.q, equal_goes_first=True) for i in range(1, n)]
+    gens = [_generator_matrix(states, i, rates.q) for i in range(1, n)]
     shuffle = _shuffle_sum(gens, len(states))
     weight = weight_op_word(rates).matrix
     return LinearOperator(states, mat_mul(shuffle, weight))

@@ -67,27 +67,24 @@ def eigen_catalog_perm(rates: PermRates):
     return out
 
 
+def upper_set_eigenvalue(a, rates: WordRates) -> Fraction:
+    """lambda_a = sum_j ybar_j q^(a_{j+1} + ... + a_l) [a_j]_q over the letters
+    with a_j > 0."""
+    q = rates.q
+    total = Fraction(0)
+    for j, aj in enumerate(a, start=1):
+        if aj:
+            total += rates.ybar(j) * q ** sum(a[j:]) * q_int(aj, q)
+    return total
+
+
 def eigen_catalog_word(rates: WordRates):
     """One entry per upper set of the chain-union poset; multiplicity is the
     poset-derangement count of the truncated poset."""
-    q = rates.q
-    n = rates.n
-    out = []
-    for a in enumerate_upper_sets(rates.m):
-        value = Fraction(0)
-        for j in range(1, rates.letters + 1):
-            aj = a[j - 1]
-            if aj == 0:
-                continue
-            above = sum(a[j:])
-            value += (
-                rates.xbar[j - 1]
-                * q**above
-                * q_int(aj, q)
-                / (q ** (n - rates.n_j(j)) * q_int(rates.m[j - 1], q))
-            )
-        out.append(EigenEntry(tuple(a), value, poset_derangements(rates.m, a)))
-    return out
+    return [
+        EigenEntry(tuple(a), upper_set_eigenvalue(a, rates), poset_derangements(rates.m, a))
+        for a in enumerate_upper_sets(rates.m)
+    ]
 
 
 def eigen_catalog_flags(rates: PermRates, p: int):
@@ -200,28 +197,20 @@ def _random_positive_rationals(count, rng):
 
 
 def generic_perm_rates(n: int, seed=0, q=None, p=None) -> PermRates:
-    """Random positive rationals summing to 1, resampled until all subset
-    eigenvalues are pairwise distinct.  With p given, q is pinned to p."""
-    rng = random.Random(seed)
-    if p is not None:
-        q = Fraction(p)
-    for _ in range(200):
-        qq = q if q is not None else Fraction(rng.randint(2, 7))
-        rates = PermRates(qq, _random_positive_rationals(n, rng))
-        values = [subset_eigenvalue(e.label, rates) for e in eigen_catalog_perm(rates)]
-        if len(set(values)) == len(values):
-            return rates
-    raise RuntimeError("failed to sample generic rates")
+    """The word sampler at content (1^n), whose upper-set eigenvalues are the
+    subset eigenvalues.  With p given, q is pinned to p."""
+    rates = generic_word_rates((1,) * n, seed, Fraction(p) if p is not None else q)
+    return PermRates(rates.q, rates.xbar)
 
 
 def generic_word_rates(m, seed=0, q=None) -> WordRates:
-    """Random positive letter rates summing to 1 with pairwise distinct
-    upper-set eigenvalues."""
+    """Random positive letter rates summing to 1, resampled until the
+    upper-set eigenvalues are pairwise distinct."""
     rng = random.Random(seed)
     for _ in range(200):
         qq = q if q is not None else Fraction(rng.randint(2, 7))
         rates = WordRates(qq, _random_positive_rationals(len(m), rng), m)
-        values = [e.value for e in eigen_catalog_word(rates)]
+        values = [upper_set_eigenvalue(a, rates) for a in enumerate_upper_sets(m)]
         if len(set(values)) == len(values):
             return rates
     raise RuntimeError("failed to sample generic rates")

@@ -3,15 +3,18 @@ Closed-form stationary distributions of the three chains, and the
 independent left-null-space oracle they are checked against.
 
 Each closed form is a product of explicit factors.  The factor lists are
-exposed separately (`perm_factors`, `word_factors`, `flag_coset_factors`) so
-that positivity can be asserted factor by factor and zero denominators can be
-reported eagerly, naming the state and the offending factor.
+exposed separately (`word_factors`, `flag_coset_factors`) so that positivity
+can be asserted factor by factor and zero denominators can be reported
+eagerly, naming the state and the offending factor.  The permutation chain is
+the word chain at content (1^n), so `kappa_perm`, `perm_factors` and
+`stationary_perm_formula` delegate to their word versions.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .combinatorics import inv, lrm_positions, p_k, q_factorial, q_int, word_states, perm_states
+from .combinatorics import inv, lrm_positions, p_k, perm_states, q_factorial, word_states
 from .exact import Matrix, format_rational, left_null_space
 from .flags import coset_to_perm, enumerate_flags
 from .hecke_chains import LinearOperator, PermRates, WordRates
@@ -79,47 +82,41 @@ class StationaryVector:
 def kappa_perm(b, rates: PermRates) -> Fraction:
     """Weighted prefix sum over the weakly decreasing sort of b:
     sum_i x_{b_i} q^(i + b_i - k - 1); the empty tuple gives 0."""
-    b = tuple(sorted(b, reverse=True))
-    k = len(b)
-    q = rates.q
-    total = Fraction(0)
-    for i, v in enumerate(b, start=1):
-        total += rates.x[v - 1] * q ** (i + v - k - 1)
-    return total
+    return kappa_word(b, rates.as_word())
 
 
 def kappa_word(b, rates: WordRates) -> Fraction:
     """Word analogue: sum_i xbar_{b_i} q^(i + n_{b_i} - k - 1) / [m_{b_i}]_q
-    on the weakly decreasing sort; empty tuple gives 0."""
-    b = tuple(sorted(b, reverse=True))
-    k = len(b)
-    q = rates.q
-    total = Fraction(0)
-    for i, v in enumerate(b, start=1):
-        total += rates.xbar[v - 1] * q ** (i + rates.n_j(v) - k - 1) / q_int(rates.m[v - 1], q)
-    return total
+    on the weakly decreasing sort; empty tuple gives 0.
+
+    With c_j = xbar_j q^(n_j) / [m_j]_q this is sum_i c_{b_i} q^(i - k - 1),
+    evaluated by Horner's rule in 1/q."""
+    if not b:
+        return Fraction(0)
+    c = rates.kappa_coeffs
+    q_inv = 1 / rates.q
+    first, *rest = sorted(b, reverse=True)
+    total = c[first - 1]
+    for v in rest:
+        total = total * q_inv + c[v - 1]
+    return total * q_inv
 
 
 def perm_factors(perm, rates: PermRates):
     """(prefactor, numerator factors, denominator factors) of the closed form
     for one permutation."""
-    n = len(perm)
-    q = rates.q
-    total = rates.total()
-    lrm = set(lrm_positions(perm))
-    nums = []
-    dens = []
-    for k in range(1, n):
-        dens.append(total - q ** (k - n - 1) * kappa_perm(perm[: k - 1], rates))
-        if k in lrm:
-            nums.append(kappa_perm((perm[k - 1],), rates))
-        else:
-            pk = p_k(perm, k)
-            nums.append(
-                kappa_perm(perm[pk - 1 : k], rates)
-                - kappa_perm(perm[pk - 1 : k - 1], rates) / q
-            )
-    return q ** (-inv(perm)), nums, dens
+    return word_factors(perm, rates.as_word())
+
+
+@lru_cache(maxsize=64)
+def _fiber_factor(m, q) -> Fraction:
+    """Fiber inversion sum: the factor per part is [m_i]_{1/q}!, that is
+    q^(-binom(m_i,2)) [m_i]_q!  (not q^(-m_i+1); the two agree only for
+    parts <= 2, and only this form makes the entries sum to 1)."""
+    out = Fraction(1)
+    for part in m:
+        out *= q ** (-(part * (part - 1) // 2)) * q_factorial(part, q)
+    return out
 
 
 def word_factors(word, rates: WordRates):
@@ -127,12 +124,7 @@ def word_factors(word, rates: WordRates):
     n = rates.n
     q = rates.q
     total = rates.total()
-    # Fiber inversion sum: the factor per part is [m_i]_{1/q}!, that is
-    # q^(-binom(m_i,2)) [m_i]_q!  (not q^(-m_i+1); the two agree only for
-    # parts <= 2, and only this form makes the entries sum to 1).
-    pre = q ** (-inv(word))
-    for part in rates.m:
-        pre *= q ** (-(part * (part - 1) // 2)) * q_factorial(part, q)
+    pre = q ** (-inv(word)) * _fiber_factor(rates.m, q)
     lrm = set(lrm_positions(word))
     nums = []
     dens = []
@@ -164,12 +156,7 @@ def _product_of_factors(state, pre, nums, dens, label):
 
 
 def stationary_perm_formula(rates: PermRates) -> StationaryVector:
-    states = tuple(perm_states(rates.n))
-    values = []
-    for perm in states:
-        pre, nums, dens = perm_factors(perm, rates)
-        values.append(_product_of_factors(perm, pre, nums, dens, "permutation formula"))
-    return StationaryVector(states, tuple(values))
+    return stationary_word_formula(rates.as_word())
 
 
 def stationary_word_formula(rates: WordRates) -> StationaryVector:

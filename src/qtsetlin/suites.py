@@ -9,11 +9,21 @@ desk scale.
 
 import random
 from fractions import Fraction
+from math import factorial
 
-from .combinatorics import coinv, perm_states, q_int, word_states
+from .combinatorics import (
+    coinv,
+    derangement,
+    destandardize,
+    perm_states,
+    q_factorial,
+    q_int,
+    word_states,
+)
 from .exact import Matrix, mat_mul
 from .flags import (
     PartialFlag,
+    coset_to_perm,
     hecke_generator_coset,
     rcayley_stationary,
     lrb_product,
@@ -67,13 +77,6 @@ SUITES = (
 
 FLAG_STATE_CAP = 400
 FLAG_NULLITY_CAP = 60
-
-
-def flag_count(n, p):
-    count = 1
-    for k in range(1, n + 1):
-        count *= int(q_int(k, p))
-    return count
 
 
 def compositions(n):
@@ -145,7 +148,7 @@ def suite_matrix(n_max, p_list, seed):
         )
     for p in p_list:
         n = 3
-        if flag_count(n, p) <= FLAG_STATE_CAP:
+        if q_factorial(n, p) <= FLAG_STATE_CAP:
             rates = generic_perm_rates(n, seed=seed, p=p)
             a = transition_matrix_flags(rates, p).matrix
             b = transition_matrix_flags_hecke(rates, p).matrix
@@ -174,14 +177,14 @@ def suite_stationary(n_max, p_list, seed):
             checks.append((f"word m={m}: formula is stationary and oracle agrees", ok))
     for p in p_list:
         for n in range(2, n_max + 1):
-            if flag_count(n, p) > FLAG_STATE_CAP:
+            if q_factorial(n, p) > FLAG_STATE_CAP:
                 continue
             rates = generic_perm_rates(n, seed=seed + n, p=p)
             op = transition_matrix_flags(rates, p)
             psi = stationary_flags_formula(rates, p)
             ok = psi.is_left_eigenvector(op, rates.total()) and psi.total() == 1
             ok = ok and stationary_oracle(op, rates.total()).values == psi.values
-            if flag_count(n, p) <= FLAG_NULLITY_CAP:
+            if q_factorial(n, p) <= FLAG_NULLITY_CAP:
                 ok = ok and all(
                     rcayley_stationary(rates, p, f) == psi[f] for f in op.states
                 )
@@ -212,7 +215,7 @@ def suite_spectra(n_max, p_list, seed):
             checks.append((f"word m={m}: nullities match poset-derangement multiplicities", rep.all_pass))
     for p in p_list:
         for n in range(2, n_max + 1):
-            if flag_count(n, p) > FLAG_NULLITY_CAP:
+            if q_factorial(n, p) > FLAG_NULLITY_CAP:
                 continue
             rates = generic_perm_rates(n, seed=seed + n, p=p)
             op = transition_matrix_flags(rates, p)
@@ -227,7 +230,7 @@ def suite_lumping(n_max, p_list, seed):
     checks = []
     for p in p_list:
         for n in range(2, n_max + 1):
-            if flag_count(n, p) > FLAG_STATE_CAP:
+            if q_factorial(n, p) > FLAG_STATE_CAP:
                 continue
             rates = generic_perm_rates(n, seed=seed + n, p=p)
             for diagram in ("flags-perms-proj", "flags-perms-incl"):
@@ -239,7 +242,7 @@ def suite_lumping(n_max, p_list, seed):
             proj = proj_flags_to_perms(n, p)
             lumped = [Fraction(0)] * len(psi_p.states)
             for value, flag in zip(psi_f.values, psi_f.states):
-                lumped[proj.target_states.index(_flag_perm(flag))] += value
+                lumped[proj.target_states.index(coset_to_perm(flag))] += value
             checks.append(
                 (f"flag stationary lumps to perm stationary (n={n}, p={p})", tuple(lumped) == psi_p.values)
             )
@@ -247,7 +250,7 @@ def suite_lumping(n_max, p_list, seed):
                 (
                     f"perm mass is p^coinv times flag mass (n={n}, p={p})",
                     all(
-                        psi_p[_flag_perm(f)] == Fraction(p) ** coinv(_flag_perm(f)) * psi_f[f]
+                        psi_p[coset_to_perm(f)] == Fraction(p) ** coinv(coset_to_perm(f)) * psi_f[f]
                         for f in psi_f.states
                     ),
                 )
@@ -267,23 +270,11 @@ def suite_lumping(n_max, p_list, seed):
             proj = proj_perms_to_words(m)
             lumped = [Fraction(0)] * len(psi_w.states)
             for value, perm in zip(psi_p.values, psi_p.states):
-                lumped[proj.target_states.index(_destd(perm, m))] += value
+                lumped[proj.target_states.index(destandardize(perm, m))] += value
             checks.append(
                 (f"perm stationary lumps to word stationary (m={m})", tuple(lumped) == psi_w.values)
             )
     return checks
-
-
-def _flag_perm(flag):
-    from .flags import coset_to_perm
-
-    return coset_to_perm(flag)
-
-
-def _destd(perm, m):
-    from .combinatorics import destandardize
-
-    return destandardize(perm, m)
 
 
 def _hecke_relations(gens, q):
@@ -317,7 +308,7 @@ def suite_hecke(n_max, p_list, seed):
             checks.append((f"Hecke relations on words (m={m}, q={q})", _hecke_relations(gens, q)))
     for p in p_list:
         for n in range(2, n_max + 1):
-            if flag_count(n, p) > FLAG_STATE_CAP:
+            if q_factorial(n, p) > FLAG_STATE_CAP:
                 continue
             gens = [hecke_generator_coset(i, n, p).matrix for i in range(1, n)]
             checks.append((f"Hecke relations on flags (n={n}, p={p})", _hecke_relations(gens, Fraction(p))))
@@ -335,8 +326,6 @@ def suite_q1(n_max, p_list, seed):
         ok = all(
             e.value == sum((rates.x[i - 1] for i in e.label), Fraction(0)) for e in cat
         )
-        from .combinatorics import derangement
-
         ok = ok and all(e.multiplicity == derangement(n - len(e.label)) for e in cat)
         checks.append((f"q=1 catalog reduces to subset sums with derangement multiplicities (n={n})", ok))
     return checks
@@ -400,7 +389,7 @@ def suite_properties(n_max, p_list, seed):
     ok = True
     for n in range(2, n_max + 1):
         rates = generic_perm_rates(n, seed=seed + n)
-        ok = ok and sum(e.multiplicity for e in eigen_catalog_perm(rates)) == _fact(n)
+        ok = ok and sum(e.multiplicity for e in eigen_catalog_perm(rates)) == factorial(n)
         for m in compositions(n):
             if len(m) == 1:
                 continue
@@ -408,16 +397,9 @@ def suite_properties(n_max, p_list, seed):
             ok = ok and sum(e.multiplicity for e in eigen_catalog_word(wrates)) == len(word_states(m))
         for prime in p_list:
             frates = generic_perm_rates(n, seed=seed, p=prime)
-            ok = ok and sum(e.multiplicity for e in eigen_catalog_flags(frates, prime)) == flag_count(n, prime)
+            ok = ok and sum(e.multiplicity for e in eigen_catalog_flags(frates, prime)) == q_factorial(n, prime)
     checks.append(("catalog multiplicities always sum to the state-space size", ok))
     return checks
-
-
-def _fact(n):
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 def _random_partial_flag(rng, n, p):

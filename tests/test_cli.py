@@ -218,6 +218,27 @@ class TestConfigErrors:
         assert code == 2
         assert "omit --q" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "matrix --space perm --n 3 --q 1/0",
+            "stationary --space word --m 1,2 --q 1/0",
+            "spectrum --space perm --n 3 --q 1/0",
+            "lump-check --m 1,2 --q 1/0",
+            "matrix --space perm --n 3 --q abc",
+            "matrix --space perm --n 0 --q 2",
+            "matrix --space perm --n -1 --q 2",
+            "matrix --space flag --n 0 --p 2",
+            "stationary --space perm --n 0 --q 2",
+            "spectrum --space flag --n -1 --p 2",
+            "lump-check --n 0 --p 2",
+        ],
+    )
+    def test_bad_input_exit_2_without_traceback(self, capsys, argv):
+        code, _, err = run(capsys, *argv.split())
+        assert code == 2
+        assert "Traceback" not in err
+
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["matrix"])  # missing --space

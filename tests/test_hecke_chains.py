@@ -186,7 +186,7 @@ class TestTransitionPerm:
         from qtsetlin.hecke_chains import _generator_matrix, _shuffle_sum
 
         states = tuple(perm_states(n))
-        gens = [_generator_matrix(states, i, q, equal_goes_first=False) for i in range(1, n)]
+        gens = [_generator_matrix(states, i, q) for i in range(1, n)]
         shuffle = _shuffle_sum(gens, len(states)) * (1 / q_int(n, q))
         assert weighted.matrix == shuffle
 
