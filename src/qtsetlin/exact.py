@@ -1,11 +1,11 @@
 """
-Exact dense linear algebra over the rationals.
+Exact linear algebra over the rationals.
 
 Every scalar in this package is a `fractions.Fraction`, which is always stored
-reduced with a positive denominator.  Matrices are small and dense (state
-spaces of at most a few thousand), so no sparse formats are used; `mat_mul`
-skips zero entries, which makes products of the very sparse generator
-matrices cheap anyway.
+reduced with a positive denominator.  `Matrix` is stored dense and is the
+exchange and equality type.  The chain matrices are very sparse, so products
+skip zeros on both sides: `mat_mul` lists each row's nonzeros of its right
+factor once, and the chain builders assemble rows as sparse dicts.
 
 Elimination is fraction-free: rows are scaled to integers and reduced by
 cross-multiplication followed by a gcd division, so intermediate entries stay
@@ -39,7 +39,8 @@ def rat(value, denom=None) -> Fraction:
 
 def format_rational(x: Fraction) -> str:
     """Canonical string form: "a/b" with b > 0, plain "a" when b == 1."""
-    x = Fraction(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
@@ -142,24 +143,21 @@ class Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Exact product; zero entries of `a` are skipped."""
+    """Exact product; zero entries of both factors are skipped."""
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
     out = Matrix.zeros(a.rows, b.cols)
-    bdata = b.data
-    for r, arow in enumerate(a.data):
-        orow = out.data[r]
+    bnz = [[(k, y) for k, y in enumerate(row) if y] for row in b.data]
+    for arow, orow in zip(a.data, out.data):
         for j, x in enumerate(arow):
             if x:
-                brow = bdata[j]
-                for k, y in enumerate(brow):
-                    if y:
-                        orow[k] += x * y
+                for k, y in bnz[j]:
+                    orow[k] += x * y
     return out
 
 
 def vec_mat(v, m: Matrix):
-    """Row vector times matrix, exact."""
+    """Row vector times matrix, exact; zeros of both factors are skipped."""
     if len(v) != m.rows:
         raise ValueError("dimension mismatch")
     out = [Fraction(0)] * m.cols

@@ -17,6 +17,12 @@ The generator acts on a sequence by
 and the full shuffle operator is sum_{i=1}^{n} T_{i-1} ... T_1 X, where the
 i = 1 summand is the identity and X is the diagonal weight operator.  At
 q = 1 this is the classical move-to-front chain.
+
+The transition matrix is built row by row from that action, with no matrix
+products: Horner's rule w <- s + w . T_i for i = n-1, ..., 1, on a sparse
+{state: coeff} dict w, gives s . (1 + T_1 + T_2 T_1 + ... + T_{n-1} ... T_1),
+and column t is then scaled by ybar_{t_1}.  `_shuffle_sum` keeps the dense
+product form as an independent oracle.
 """
 
 from dataclasses import dataclass
@@ -86,6 +92,8 @@ class WordRates:
             raise ValueError("one rate per letter required")
         if any(part < 1 for part in self.m):
             raise ValueError("content parts must be positive")
+        if any(q_int(part, self.q) == 0 for part in self.m):
+            raise ValueError(f"q = {self.q} makes [m_j]_q vanish for a part of m = {self.m}")
 
     @property
     def n(self):
@@ -142,17 +150,24 @@ def _swap(seq, i):
     return tuple(out)
 
 
+_ONE = Fraction(1)
+
+
+def _act(s, i, q):
+    """s . T_i as (target, coeff) pairs; q is a Fraction."""
+    swapped = _swap(s, i)
+    if s[i] <= s[i - 1]:
+        return ((swapped, q),)
+    return ((swapped, _ONE), (s, q - 1))
+
+
 def _generator_matrix(states, i, q):
     index = {s: r for r, s in enumerate(states)}
     q = Fraction(q)
     m = Matrix.zeros(len(states), len(states))
-    for r, s in enumerate(states):
-        swapped = _swap(s, i)
-        if s[i] <= s[i - 1]:
-            m.data[r][index[swapped]] += q
-        else:
-            m.data[r][index[swapped]] += Fraction(1)
-            m.data[r][r] += q - 1
+    for s, row in zip(states, m.data):
+        for t, c in _act(s, i, q):
+            row[index[t]] += c
     return m
 
 
@@ -205,9 +220,20 @@ def transition_matrix_perm(rates: PermRates) -> LinearOperator:
 
 def transition_matrix_word(rates: WordRates) -> LinearOperator:
     """Transition matrix of the weighted shuffle on words of content m."""
-    n = rates.n
+    q = rates.q
     states = tuple(word_states(rates.m))
-    gens = [_generator_matrix(states, i, rates.q) for i in range(1, n)]
-    shuffle = _shuffle_sum(gens, len(states))
-    weight = weight_op_word(rates).matrix
-    return LinearOperator(states, mat_mul(shuffle, weight))
+    index = {s: r for r, s in enumerate(states)}
+    ybar = [rates.ybar(j) for j in range(1, rates.letters + 1)]
+    m = Matrix.zeros(len(states), len(states))
+    for s, row in zip(states, m.data):
+        w = {s: _ONE}
+        for i in range(rates.n - 1, 0, -1):
+            nxt = {s: _ONE}
+            for u, a in w.items():
+                for t, c in _act(u, i, q):
+                    if c:
+                        nxt[t] = nxt.get(t, 0) + a * c
+            w = nxt
+        for t, a in w.items():
+            row[index[t]] = a * ybar[t[0] - 1]
+    return LinearOperator(states, m)

@@ -13,6 +13,7 @@ matrices on the right and an inclusion on the left:
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .combinatorics import (
     block_sets,
@@ -55,9 +56,20 @@ class IntertwinerMatrix:
     kind: str  # "projection" | "inclusion"
 
 
+# One-entry memos: the two flag diagrams of one (rates, p) build these once.
+@lru_cache(maxsize=1)
+def _flag_states(n, p):
+    return tuple(enumerate_flags(n, p))
+
+
+@lru_cache(maxsize=1)
+def _flag_matrix(rates, p):
+    return transition_matrix_flags(rates, p).matrix
+
+
 def proj_flags_to_perms(n: int, p: int) -> IntertwinerMatrix:
     """0/1 matrix sending each coset to its double-coset permutation."""
-    flags = tuple(enumerate_flags(n, p))
+    flags = _flag_states(n, p)
     perms = tuple(perm_states(n))
     index = {s: i for i, s in enumerate(perms)}
     m = Matrix.zeros(len(flags), len(perms))
@@ -69,7 +81,7 @@ def proj_flags_to_perms(n: int, p: int) -> IntertwinerMatrix:
 def incl_perms_to_flags(n: int, p: int) -> IntertwinerMatrix:
     """Each permutation spreads over its double coset with coefficient
     q^inv(pi)."""
-    flags = tuple(enumerate_flags(n, p))
+    flags = _flag_states(n, p)
     perms = tuple(perm_states(n))
     index = {s: i for i, s in enumerate(perms)}
     m = Matrix.zeros(len(perms), len(flags))
@@ -191,7 +203,7 @@ def check_commuting(diagram: str, rates: PermRates, p: int = None, m=None) -> bo
     if diagram in ("flags-perms-proj", "flags-perms-incl"):
         if p is None:
             raise ValueError("flag diagrams need the field size")
-        t_flags = transition_matrix_flags(rates, p).matrix
+        t_flags = _flag_matrix(rates, p)
         t_perm = transition_matrix_perm(rates).matrix
         if diagram == "flags-perms-proj":
             proj = proj_flags_to_perms(rates.n, p).matrix

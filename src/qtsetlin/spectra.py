@@ -213,4 +213,4 @@ def generic_word_rates(m, seed=0, q=None) -> WordRates:
         values = [upper_set_eigenvalue(a, rates) for a in enumerate_upper_sets(m)]
         if len(set(values)) == len(values):
             return rates
-    raise RuntimeError("failed to sample generic rates")
+    raise ValueError(f"no rates with distinct eigenvalues found for m={tuple(m)} at q={q}")

@@ -12,7 +12,7 @@ the word chain at content (1^n), so `kappa_perm`, `perm_factors` and
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .combinatorics import inv, lrm_positions, p_k, perm_states, q_factorial, word_states
 from .exact import Matrix, format_rational, left_null_space
@@ -42,8 +42,12 @@ class StationaryVector:
     states: tuple
     values: tuple
 
+    @cached_property
+    def _index(self):
+        return {s: i for i, s in enumerate(self.states)}
+
     def __getitem__(self, state):
-        return self.values[self.states.index(state)]
+        return self.values[self._index[state]]
 
     def total(self) -> Fraction:
         return sum(self.values, Fraction(0))

@@ -232,6 +232,10 @@ class TestConfigErrors:
             "stationary --space perm --n 0 --q 2",
             "spectrum --space flag --n -1 --p 2",
             "lump-check --n 0 --p 2",
+            "matrix --space word --m 2 --q -1",
+            "lump-check --m 2,1 --q -1",
+            "stationary --space word --m 1,2 --q -1",
+            "matrix --space word --m 1,3 --q -1",
         ],
     )
     def test_bad_input_exit_2_without_traceback(self, capsys, argv):
