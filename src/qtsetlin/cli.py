@@ -12,7 +12,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .combinatorics import seq_to_str
+from .combinatorics import state_key
 from .exact import format_rational, parse_rational
 from .flags import enumerate_flags, is_prime, rcayley_stationary, transition_matrix_flags
 from .hecke_chains import (
@@ -32,6 +32,7 @@ from .spectra import (
     verify_multiplicities,
 )
 from .stationary import (
+    StationaryVector,
     stationary_flags_formula,
     stationary_oracle,
     stationary_perm_formula,
@@ -73,8 +74,24 @@ def _parse_composition(text):
     return parts
 
 
-def _state_key(state):
-    return state.to_str() if hasattr(state, "to_str") else seq_to_str(state)
+def _perm_rates(args, q):
+    """--rates at q, checked against --n, or generic rates from --seed."""
+    if args.rates is None:
+        return generic_perm_rates(args.n, seed=args.seed, q=q)
+    x = _parse_rates(args.rates)
+    if len(x) != args.n:
+        raise ConfigError(f"expected {args.n} rates, got {len(x)}")
+    return PermRates(q, x)
+
+
+def _word_rates(args, m, q):
+    """--rates at q, checked against the composition, or generic rates."""
+    if args.rates is None:
+        return generic_word_rates(m, seed=args.seed, q=q)
+    xbar = _parse_rates(args.rates)
+    if len(xbar) != len(m):
+        raise ConfigError(f"expected {len(m)} rates, got {len(xbar)}")
+    return WordRates(q, xbar, m)
 
 
 def _load_config(args):
@@ -89,40 +106,20 @@ def _load_config(args):
             raise ConfigError("flag space takes q from --p; omit --q")
         if args.n is None:
             raise ConfigError("flag space requires --n")
-        q = Fraction(args.p)
-        if args.rates is None:
-            rates = generic_perm_rates(args.n, seed=args.seed, p=args.p)
-        else:
-            x = _parse_rates(args.rates)
-            if len(x) != args.n:
-                raise ConfigError(f"expected {args.n} rates, got {len(x)}")
-            rates = PermRates(q, x)
-        return rates
+        return _perm_rates(args, Fraction(args.p))
     if space == "perm":
         if args.n is None:
             raise ConfigError("perm space requires --n")
         if args.q is None:
             raise ConfigError("perm space requires --q")
-        q = _parse_q(args.q)
-        if args.rates is None:
-            return generic_perm_rates(args.n, seed=args.seed, q=q)
-        x = _parse_rates(args.rates)
-        if len(x) != args.n:
-            raise ConfigError(f"expected {args.n} rates, got {len(x)}")
-        return PermRates(q, x)
+        return _perm_rates(args, _parse_q(args.q))
     if space == "word":
         if args.m is None:
             raise ConfigError("word space requires --m")
         if args.q is None:
             raise ConfigError("word space requires --q")
         m = _parse_composition(args.m)
-        q = _parse_q(args.q)
-        if args.rates is None:
-            return generic_word_rates(m, seed=args.seed, q=q)
-        xbar = _parse_rates(args.rates)
-        if len(xbar) != len(m):
-            raise ConfigError(f"expected {len(m)} rates, got {len(xbar)}")
-        return WordRates(q, xbar, m)
+        return _word_rates(args, m, _parse_q(args.q))
     raise ConfigError(f"unknown space {space!r}")
 
 
@@ -145,7 +142,7 @@ def _emit(args, text):
 def cmd_matrix(args) -> int:
     rates = _load_config(args)
     op = _build_operator(args, rates)
-    states = [_state_key(s) for s in op.states]
+    states = [state_key(s) for s in op.states]
     entries = [[format_rational(v) for v in row] for row in op.matrix.data]
     if args.format == "json":
         _emit(args, json.dumps({"states": states, "entries": entries}, indent=2))
@@ -186,8 +183,6 @@ def cmd_stationary(args) -> int:
                 raise ConfigError("--method semigroup requires rates summing to 1")
             flags = enumerate_flags(rates.n, args.p)
             values = tuple(rcayley_stationary(rates, args.p, f) for f in flags)
-            from .stationary import StationaryVector
-
             methods["semigroup"] = StationaryVector(tuple(flags), values)
     agreement = len({m.values for m in methods.values()}) == 1
     if args.method != "all":
@@ -261,24 +256,14 @@ def cmd_lump_check(args) -> int:
     if args.p is not None:
         if args.n is None:
             raise ConfigError("flag diagrams require --n")
-        rates = (
-            generic_perm_rates(args.n, seed=args.seed, p=args.p)
-            if args.rates is None
-            else PermRates(Fraction(args.p), _parse_rates(args.rates))
-        )
+        rates = _perm_rates(args, Fraction(args.p))
         for diagram in ("flags-perms-proj", "flags-perms-incl"):
             results[diagram] = check_commuting(diagram, rates, p=args.p)
     if args.m is not None:
         m = _parse_composition(args.m)
         if args.q is None:
             raise ConfigError("word diagrams require --q")
-        q = _parse_q(args.q)
-        word_rates = (
-            generic_word_rates(m, seed=args.seed, q=q)
-            if args.rates is None
-            else WordRates(q, _parse_rates(args.rates), m)
-        )
-        rates = map_rates_word_to_perm(word_rates)
+        rates = map_rates_word_to_perm(_word_rates(args, m, _parse_q(args.q)))
         for diagram in ("perms-words-proj", "perms-words-incl"):
             results[diagram] = check_commuting(diagram, rates, m=m)
     if not results:
@@ -288,11 +273,15 @@ def cmd_lump_check(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.n_max < 1:
+        raise ConfigError(f"--n-max must be at least 1, got {args.n_max}")
     p_list = tuple(int(v) for v in args.p.split(",")) if args.p else (2, 3)
     for p in p_list:
         if not is_prime(p):
             raise ConfigError(f"--p entry {p} is not prime")
     checks = suites.run_suite(args.suite, n_max=args.n_max, p_list=p_list, seed=args.seed)
+    if not checks:
+        raise ConfigError(f"suite {args.suite!r} has no checks at --n-max {args.n_max}")
     width = max(len(name) for name, _ in checks)
     for name, ok in checks:
         print(f"{'PASS' if ok else 'FAIL'}  {name:<{width}}")

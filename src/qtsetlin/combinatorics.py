@@ -261,6 +261,11 @@ def seq_to_str(seq) -> str:
     return ",".join(str(v) for v in seq)
 
 
+def state_key(state) -> str:
+    """Printed name of a chain state: a flag's `to_str()`, else `seq_to_str`."""
+    return state.to_str() if hasattr(state, "to_str") else seq_to_str(state)
+
+
 def str_to_seq(s: str):
     if "," in s:
         return tuple(int(v) for v in s.split(","))

@@ -5,7 +5,9 @@ Every scalar in this package is a `fractions.Fraction`, which is always stored
 reduced with a positive denominator.  `Matrix` is stored dense and is the
 exchange and equality type.  The chain matrices are very sparse, so products
 skip zeros on both sides: `mat_mul` lists each row's nonzeros of its right
-factor once, and the chain builders assemble rows as sparse dicts.
+factor once.  Every state-indexed matrix of the package (generators, weights,
+transition matrices, intertwiners) is assembled by `state_matrix` from one
+sparse row of (target, coeff) pairs per source state.
 
 Elimination is fraction-free: rows are scaled to integers and reduced by
 cross-multiplication followed by a gcd division, so intermediate entries stay
@@ -140,6 +142,18 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
+
+
+def state_matrix(sources, targets, entries) -> Matrix:
+    """Matrix with rows indexed by `sources` and columns by `targets`; the
+    row of state s holds the (target, coeff) pairs of `entries(s)`, with
+    repeated targets added up."""
+    index = {t: c for c, t in enumerate(targets)}
+    m = Matrix.zeros(len(sources), len(targets))
+    for s, row in zip(sources, m.data):
+        for t, c in entries(s):
+            row[index[t]] += c
+    return m
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

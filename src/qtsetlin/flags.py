@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinatorics import perm_states
-from .exact import Matrix, mat_mul
-from .hecke_chains import LinearOperator, PermRates, _shuffle_sum
+from .exact import state_matrix
+from .hecke_chains import LinearOperator, PermRates, _shuffle_operator
 
 __all__ = [
     "is_prime",
@@ -196,38 +196,36 @@ def insert_line(flag: FlagRep, line: Line) -> FlagRep:
     return result
 
 
-def hecke_generator_coset(i: int, n: int, p: int) -> LinearOperator:
-    """Right action of T_i on the flag basis: column swap plus the p-1
+def _act_coset(flag: FlagRep, i: int):
+    """flag . T_i as (target, coeff) pairs: the column swap plus the p-1
     lower-triangular corrections, every image re-canonicalized."""
+    p = flag.p
+    head, (a, b), tail = flag.cols[: i - 1], flag.cols[i - 1 : i + 1], flag.cols[i + 1 :]
+    pairs = [(b, a)] + [(tuple((x + t * y) % p for x, y in zip(a, b)), b) for t in range(1, p)]
+    return tuple((_canonical_flag(head + pair + tail, p), 1) for pair in pairs)
+
+
+def hecke_generator_coset(i: int, n: int, p: int) -> LinearOperator:
+    """Right action of T_i on the flag basis (see `_act_coset`)."""
     _check_prime(p)
     if not 1 <= i <= n - 1:
         raise ValueError(f"generator index {i} out of range for n={n}")
     states = tuple(enumerate_flags(n, p))
-    index = {f: r for r, f in enumerate(states)}
-    m = Matrix.zeros(len(states), len(states))
-    one = Fraction(1)
-    for r, flag in enumerate(states):
-        cols = list(flag.cols)
-        swapped = cols[:]
-        swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
-        m.data[r][index[_canonical_flag(tuple(swapped), p)]] += one
-        for t in range(1, p):
-            shear = cols[:]
-            shear[i - 1] = tuple((a + t * b) % p for a, b in zip(cols[i - 1], cols[i]))
-            m.data[r][index[_canonical_flag(tuple(shear), p)]] += one
-    return LinearOperator(states, m)
+    return LinearOperator(states, state_matrix(states, states, lambda f: _act_coset(f, i)))
+
+
+def _flag_weight(rates: PermRates):
+    """Weight of a coset: x_i/q^(n-i), where i is the row of the leading 1
+    in its first column."""
+    return lambda flag: rates.y(coset_to_perm(flag)[0])
 
 
 def weight_op_flags(rates: PermRates, p: int) -> LinearOperator:
-    """Diagonal weight: a coset is scaled by x_i/q^(n-i) where i is the row
-    of the leading 1 in its first column."""
+    """Diagonal operator scaling every coset by its weight."""
     _check_rates(rates, p)
     states = tuple(enumerate_flags(rates.n, p))
-    m = Matrix.zeros(len(states), len(states))
-    for r, flag in enumerate(states):
-        lead = next(row for row, a in enumerate(flag.cols[0]) if a)
-        m.data[r][r] = rates.y(lead + 1)
-    return LinearOperator(states, m)
+    weight = _flag_weight(rates)
+    return LinearOperator(states, state_matrix(states, states, lambda f: ((f, weight(f)),)))
 
 
 def _check_rates(rates: PermRates, p: int):
@@ -242,27 +240,25 @@ def transition_matrix_flags(rates: PermRates, p: int) -> LinearOperator:
     _check_rates(rates, p)
     n = rates.n
     states = tuple(enumerate_flags(n, p))
-    index = {f: r for r, f in enumerate(states)}
     lines = enumerate_lines(n, p)
     weights = [line_weight(line, rates) for line in lines]
-    m = Matrix.zeros(len(states), len(states))
-    for r, flag in enumerate(states):
-        row = m.data[r]
-        for line, w in zip(lines, weights):
-            row[index[insert_line(flag, line)]] += w
-    return LinearOperator(states, m)
+
+    def row(flag):
+        return ((insert_line(flag, line), w) for line, w in zip(lines, weights))
+
+    return LinearOperator(states, state_matrix(states, states, row))
 
 
 def transition_matrix_flags_hecke(rates: PermRates, p: int) -> LinearOperator:
     """Same operator assembled from the Hecke generators and the diagonal
-    weight; used as an independent cross-check of transition_matrix_flags."""
+    weight, with the coset action tabulated once per generator; independent
+    of line insertion, so it cross-checks transition_matrix_flags."""
     _check_rates(rates, p)
     n = rates.n
     states = tuple(enumerate_flags(n, p))
-    gens = [hecke_generator_coset(i, n, p).matrix for i in range(1, n)]
-    shuffle = _shuffle_sum(gens, len(states))
-    weight = weight_op_flags(rates, p).matrix
-    return LinearOperator(states, mat_mul(shuffle, weight))
+    table = [None] + [{f: _act_coset(f, i) for f in states} for i in range(1, n)]
+    matrix = _shuffle_operator(states, lambda f, i: table[i][f], n, _flag_weight(rates))
+    return LinearOperator(states, matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +350,7 @@ def rcayley_stationary(rates: PermRates, p: int, flag: FlagRep) -> Fraction:
     if rates.total() != 1:
         raise ValueError("the path method requires rates summing to 1")
     n = flag.n
-    prefixes = [span_basis(flag.cols[:j], p) for j in range(1, n + 1)]
+    prefixes = PartialFlag.from_flag(flag).chain
     step_weight = [Fraction(0)] * (n + 1)
     for line in enumerate_lines(n, p):
         v = line.vector(n)

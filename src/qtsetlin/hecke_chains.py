@@ -18,11 +18,16 @@ and the full shuffle operator is sum_{i=1}^{n} T_{i-1} ... T_1 X, where the
 i = 1 summand is the identity and X is the diagonal weight operator.  At
 q = 1 this is the classical move-to-front chain.
 
-The transition matrix is built row by row from that action, with no matrix
-products: Horner's rule w <- s + w . T_i for i = n-1, ..., 1, on a sparse
+Every chain supplies only its states, its generator action act(s, i) (the
+(target, coeff) pairs of s . T_i) and its weight; `exact.state_matrix`
+assembles the matrix from sparse rows.  `_shuffle_operator` builds the
+transition matrix row by row from the action, with no matrix products:
+Horner's rule w <- s + w . T_i for i = n-1, ..., 1, on a sparse
 {state: coeff} dict w, gives s . (1 + T_1 + T_2 T_1 + ... + T_{n-1} ... T_1),
-and column t is then scaled by ybar_{t_1}.  `_shuffle_sum` keeps the dense
-product form as an independent oracle.
+and target t is then scaled by its weight.  The word chain uses it with
+`_act` and the flag chain (`flags.transition_matrix_flags_hecke`) with the
+coset action.  `_shuffle_sum` keeps the dense product form as an
+independent oracle.
 """
 
 from dataclasses import dataclass
@@ -30,7 +35,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .combinatorics import q_int, word_states
-from .exact import Matrix, mat_mul
+from .exact import Matrix, mat_mul, state_matrix
 
 __all__ = [
     "PermRates",
@@ -162,13 +167,8 @@ def _act(s, i, q):
 
 
 def _generator_matrix(states, i, q):
-    index = {s: r for r, s in enumerate(states)}
     q = Fraction(q)
-    m = Matrix.zeros(len(states), len(states))
-    for s, row in zip(states, m.data):
-        for t, c in _act(s, i, q):
-            row[index[t]] += c
-    return m
+    return state_matrix(states, states, lambda s: _act(s, i, q))
 
 
 def hecke_generator_perm(i: int, n: int, q) -> LinearOperator:
@@ -193,10 +193,7 @@ def weight_op_perm(rates: PermRates) -> LinearOperator:
 def weight_op_word(rates: WordRates) -> LinearOperator:
     """Diagonal operator sending a word to ybar_{w_1} times itself."""
     states = tuple(word_states(rates.m))
-    m = Matrix.zeros(len(states), len(states))
-    for r, w in enumerate(states):
-        m.data[r][r] = rates.ybar(w[0])
-    return LinearOperator(states, m)
+    return LinearOperator(states, state_matrix(states, states, lambda w: ((w, rates.ybar(w[0])),)))
 
 
 def _shuffle_sum(generator_matrices, size):
@@ -218,22 +215,30 @@ def transition_matrix_perm(rates: PermRates) -> LinearOperator:
     return transition_matrix_word(rates.as_word())
 
 
+def _shuffle_operator(states, act, n, weight):
+    """Matrix of sum_{i=1}^{n} T_{i-1} ... T_1 X from the action act(s, i)
+    and the diagonal weight(t) of X, one sparse row per state."""
+
+    def row(s):
+        w = {s: _ONE}
+        for i in range(n - 1, 0, -1):
+            nxt = {s: _ONE}
+            for u, a in w.items():
+                for t, c in act(u, i):
+                    if c:
+                        nxt[t] = nxt.get(t, 0) + a * c
+            w = nxt
+        return ((t, a * weight(t)) for t, a in w.items())
+
+    return state_matrix(states, states, row)
+
+
 def transition_matrix_word(rates: WordRates) -> LinearOperator:
     """Transition matrix of the weighted shuffle on words of content m."""
     q = rates.q
     states = tuple(word_states(rates.m))
-    index = {s: r for r, s in enumerate(states)}
     ybar = [rates.ybar(j) for j in range(1, rates.letters + 1)]
-    m = Matrix.zeros(len(states), len(states))
-    for s, row in zip(states, m.data):
-        w = {s: _ONE}
-        for i in range(rates.n - 1, 0, -1):
-            nxt = {s: _ONE}
-            for u, a in w.items():
-                for t, c in _act(u, i, q):
-                    if c:
-                        nxt[t] = nxt.get(t, 0) + a * c
-            w = nxt
-        for t, a in w.items():
-            row[index[t]] = a * ybar[t[0] - 1]
-    return LinearOperator(states, m)
+    matrix = _shuffle_operator(
+        states, lambda u, i: _act(u, i, q), rates.n, lambda t: ybar[t[0] - 1]
+    )
+    return LinearOperator(states, matrix)

@@ -20,10 +20,11 @@ from .combinatorics import (
     destandardize,
     inv,
     perm_states,
+    q_int,
     standardize,
     word_states,
 )
-from .exact import Matrix, mat_mul
+from .exact import Matrix, mat_mul, state_matrix
 from .flags import coset_to_perm, enumerate_flags, transition_matrix_flags
 from .hecke_chains import (
     PermRates,
@@ -71,10 +72,7 @@ def proj_flags_to_perms(n: int, p: int) -> IntertwinerMatrix:
     """0/1 matrix sending each coset to its double-coset permutation."""
     flags = _flag_states(n, p)
     perms = tuple(perm_states(n))
-    index = {s: i for i, s in enumerate(perms)}
-    m = Matrix.zeros(len(flags), len(perms))
-    for r, f in enumerate(flags):
-        m.data[r][index[coset_to_perm(f)]] = Fraction(1)
+    m = state_matrix(flags, perms, lambda f: ((coset_to_perm(f), 1),))
     return IntertwinerMatrix(m, flags, perms, "projection")
 
 
@@ -83,11 +81,15 @@ def incl_perms_to_flags(n: int, p: int) -> IntertwinerMatrix:
     q^inv(pi)."""
     flags = _flag_states(n, p)
     perms = tuple(perm_states(n))
-    index = {s: i for i, s in enumerate(perms)}
-    m = Matrix.zeros(len(perms), len(flags))
-    for c, f in enumerate(flags):
-        perm = coset_to_perm(f)
-        m.data[index[perm]][c] = Fraction(p) ** inv(perm)
+    cosets = {perm: [] for perm in perms}
+    for f in flags:
+        cosets[coset_to_perm(f)].append(f)
+
+    def row(perm):
+        c = Fraction(p) ** inv(perm)
+        return ((f, c) for f in cosets[perm])
+
+    m = state_matrix(perms, flags, row)
     return IntertwinerMatrix(m, perms, flags, "inclusion")
 
 
@@ -95,10 +97,7 @@ def proj_perms_to_words(m) -> IntertwinerMatrix:
     """0/1 matrix sending a permutation to its destandardized word."""
     perms = tuple(perm_states(sum(m)))
     words = tuple(word_states(m))
-    index = {w: i for i, w in enumerate(words)}
-    mat = Matrix.zeros(len(perms), len(words))
-    for r, perm in enumerate(perms):
-        mat.data[r][index[destandardize(perm, m)]] = Fraction(1)
+    mat = state_matrix(perms, words, lambda perm: ((destandardize(perm, m), 1),))
     return IntertwinerMatrix(mat, perms, words, "projection")
 
 
@@ -137,14 +136,13 @@ def incl_words_to_perms(m, q) -> IntertwinerMatrix:
     q = Fraction(q)
     perms = tuple(perm_states(sum(m)))
     words = tuple(word_states(m))
-    index = {s: i for i, s in enumerate(perms)}
-    mat = Matrix.zeros(len(words), len(perms))
-    taus = [(tau, inv_blockwise(tau, m)) for tau in young_subgroup(m)]
-    for r, w in enumerate(words):
+    taus = [(tau, q ** -inv_blockwise(tau, m)) for tau in young_subgroup(m)]
+
+    def row(w):
         std = standardize(w)
-        for tau, invm in taus:
-            image = tuple(tau[v] for v in std)
-            mat.data[r][index[image]] += q ** (-invm)
+        return ((tuple(tau[v] for v in std), c) for tau, c in taus)
+
+    mat = state_matrix(words, perms, row)
     return IntertwinerMatrix(mat, words, perms, "inclusion")
 
 
@@ -161,8 +159,6 @@ def is_m_compatible(rates: PermRates, m) -> bool:
 
 def map_rates_perm_to_word(rates: PermRates, m) -> WordRates:
     """xbar_j = [m_j]_q x_{n_j}; only defined for m-compatible rates."""
-    from .combinatorics import q_int
-
     if not is_m_compatible(rates, m):
         raise ValueError("rates are not m-compatible")
     xbar = []
@@ -175,8 +171,6 @@ def map_rates_perm_to_word(rates: PermRates, m) -> WordRates:
 
 def map_rates_word_to_perm(rates: WordRates) -> PermRates:
     """Fill each block by y-constancy: x_{n_{j-1}+i} = q^(m_j - i) xbar_j / [m_j]_q."""
-    from .combinatorics import q_int
-
     q = rates.q
     x = []
     for j, part in enumerate(rates.m, start=1):

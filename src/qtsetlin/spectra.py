@@ -10,7 +10,7 @@ added, before checking.
 """
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -22,6 +22,7 @@ from .combinatorics import (
     q_int,
 )
 from .exact import Matrix, format_rational, mat_mul, rank_nullity
+from .flags import _check_rates
 from .hecke_chains import LinearOperator, PermRates, WordRates
 
 __all__ = [
@@ -88,26 +89,23 @@ def eigen_catalog_word(rates: WordRates):
 
 
 def eigen_catalog_flags(rates: PermRates, p: int):
-    """One entry per subset of [n]; multiplicity
+    """The labels and values of `eigen_catalog_perm`; multiplicity
     d_{n-k}(q) q^((n - i_1) + (n-1 - i_2) + ... + (n-k+1 - i_k)), and 1 for
     the full subset.  Multiplicities sum to the number of flags."""
-    from .flags import _check_rates
-
     _check_rates(rates, p)
     n = rates.n
     out = []
-    for k in range(n + 1):
-        for combo in combinations(range(1, n + 1), k):
-            label = tuple(sorted(combo, reverse=True))
-            if k == n:
-                mult = 1
-            else:
-                exponent = sum(n - j + 1 - i for j, i in enumerate(label, start=1))
-                value = q_derangement(n - k, p) * Fraction(p) ** exponent
-                if value.denominator != 1:
-                    raise ValueError("flag multiplicity is not an integer")
-                mult = int(value)
-            out.append(EigenEntry(label, subset_eigenvalue(label, rates), mult))
+    for e in eigen_catalog_perm(rates):
+        k = len(e.label)
+        if k == n:
+            mult = 1
+        else:
+            exponent = sum(n - j + 1 - i for j, i in enumerate(e.label, start=1))
+            value = q_derangement(n - k, p) * Fraction(p) ** exponent
+            if value.denominator != 1:
+                raise ValueError("flag multiplicity is not an integer")
+            mult = int(value)
+        out.append(replace(e, multiplicity=mult))
     return out
 
 

@@ -14,9 +14,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .combinatorics import inv, lrm_positions, p_k, perm_states, q_factorial, word_states
-from .exact import Matrix, format_rational, left_null_space
-from .flags import coset_to_perm, enumerate_flags
+from .combinatorics import (
+    inv,
+    lrm_positions,
+    p_k,
+    perm_states,
+    q_factorial,
+    state_key,
+    word_states,
+)
+from .exact import Matrix, format_rational, left_null_space, vec_mat
+from .flags import _check_rates, coset_to_perm, enumerate_flags
 from .hecke_chains import LinearOperator, PermRates, WordRates
 
 __all__ = [
@@ -63,24 +71,10 @@ class StationaryVector:
         if self.states != op.states:
             raise ValueError("state index mismatch")
         lam = Fraction(eigenvalue)
-        m = op.matrix
-        for c in range(m.cols):
-            acc = Fraction(0)
-            for r in range(m.rows):
-                e = m.data[r][c]
-                if e:
-                    acc += self.values[r] * e
-            if acc != lam * self.values[c]:
-                return False
-        return True
+        return vec_mat(self.values, op.matrix) == [lam * v for v in self.values]
 
     def as_dict(self):
-        from .combinatorics import seq_to_str
-
-        def key(state):
-            return state.to_str() if hasattr(state, "to_str") else seq_to_str(state)
-
-        return {key(s): format_rational(v) for s, v in zip(self.states, self.values)}
+        return {state_key(s): format_rational(v) for s, v in zip(self.states, self.values)}
 
 
 def kappa_perm(b, rates: PermRates) -> Fraction:
@@ -151,9 +145,7 @@ def _product_of_factors(state, pre, nums, dens, label):
         value *= f
     for k, d in enumerate(dens, start=1):
         if d == 0:
-            from .combinatorics import seq_to_str
-
-            name = state.to_str() if hasattr(state, "to_str") else seq_to_str(state)
+            name = state_key(state)
             raise ValueError(f"{label} denominator factor k={k} vanishes at state {name}")
         value /= d
     return value
@@ -208,8 +200,6 @@ def flag_coset_factors(perm, rates: PermRates):
 def stationary_flags_formula(rates: PermRates, p: int) -> StationaryVector:
     """Closed form over all flags; constant on each double coset, so it is
     evaluated once per permutation and spread over the coset."""
-    from .flags import _check_rates
-
     _check_rates(rates, p)
     n = rates.n
     per_perm = {}

@@ -14,13 +14,12 @@ from math import factorial
 from .combinatorics import (
     coinv,
     derangement,
-    destandardize,
     perm_states,
     q_factorial,
     q_int,
     word_states,
 )
-from .exact import Matrix, mat_mul
+from .exact import Matrix, mat_mul, vec_mat
 from .flags import (
     PartialFlag,
     coset_to_perm,
@@ -239,10 +238,7 @@ def suite_lumping(n_max, p_list, seed):
                 )
             psi_f = stationary_flags_formula(rates, p)
             psi_p = stationary_perm_formula(rates)
-            index = {s: i for i, s in enumerate(proj_flags_to_perms(n, p).target_states)}
-            lumped = [Fraction(0)] * len(psi_p.states)
-            for value, flag in zip(psi_f.values, psi_f.states):
-                lumped[index[coset_to_perm(flag)]] += value
+            lumped = vec_mat(psi_f.values, proj_flags_to_perms(n, p).matrix)
             checks.append(
                 (f"flag stationary lumps to perm stationary (n={n}, p={p})", tuple(lumped) == psi_p.values)
             )
@@ -267,10 +263,7 @@ def suite_lumping(n_max, p_list, seed):
                 )
             psi_p = stationary_perm_formula(rates)
             psi_w = stationary_word_formula(wrates)
-            index = {s: i for i, s in enumerate(proj_perms_to_words(m).target_states)}
-            lumped = [Fraction(0)] * len(psi_w.states)
-            for value, perm in zip(psi_p.values, psi_p.states):
-                lumped[index[destandardize(perm, m)]] += value
+            lumped = vec_mat(psi_p.values, proj_perms_to_words(m).matrix)
             checks.append(
                 (f"perm stationary lumps to word stationary (m={m})", tuple(lumped) == psi_w.values)
             )

@@ -236,6 +236,9 @@ class TestConfigErrors:
             "lump-check --m 2,1 --q -1",
             "stationary --space word --m 1,2 --q -1",
             "matrix --space word --m 1,3 --q -1",
+            "lump-check --n 4 --p 2 --rates 1/2,1/2",
+            "verify --n-max -3",
+            "verify --suite q1-reduction --n-max 1",
         ],
     )
     def test_bad_input_exit_2_without_traceback(self, capsys, argv):

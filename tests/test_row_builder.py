@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 
 from qtsetlin.combinatorics import word_states
 from qtsetlin.exact import Matrix, mat_mul, vec_mat
+from qtsetlin.flags import (
+    hecke_generator_coset,
+    transition_matrix_flags,
+    transition_matrix_flags_hecke,
+    weight_op_flags,
+)
 from qtsetlin.hecke_chains import (
+    PermRates,
     WordRates,
     _generator_matrix,
     _shuffle_sum,
@@ -42,6 +49,23 @@ def test_row_builder_matches_dense_products(m, q):
     op = transition_matrix_word(rates)
     assert op.states == states
     assert op.matrix == reference
+
+
+@pytest.mark.parametrize(
+    "n,p", [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (3, 5), (4, 2)], ids=str
+)
+def test_flag_row_builder_matches_dense_products(n, p):
+    """The coset action through the row builder against the dense Hecke
+    products of the generator matrices, and both against line insertion,
+    which does not use the coset action at all."""
+    rates = PermRates(F(p), tuple(F(2 * j + 1, 3 * j + 5) for j in range(n)))
+    op = transition_matrix_flags_hecke(rates, p)
+    gens = [hecke_generator_coset(i, n, p).matrix for i in range(1, n)]
+    reference = mat_mul(_shuffle_sum(gens, len(op.states)), weight_op_flags(rates, p).matrix)
+    assert op.matrix == reference
+    line_insertion = transition_matrix_flags(rates, p)
+    assert line_insertion.states == op.states
+    assert line_insertion.matrix == op.matrix
 
 
 # About half the entries are zero, and up to two rows and two columns are
