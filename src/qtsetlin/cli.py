@@ -252,6 +252,14 @@ def cmd_spectrum(args) -> int:
 def cmd_lump_check(args) -> int:
     if args.p is not None and not is_prime(args.p):
         raise ConfigError(f"--p {args.p} is not prime")
+    m = _parse_composition(args.m) if args.m is not None else None
+    if m is not None and args.n is not None and args.n != sum(m):
+        raise ConfigError(f"--n {args.n} does not match --m {args.m}, which sums to {sum(m)}")
+    if args.p is not None and m is not None and args.rates is not None:
+        raise ConfigError(
+            "one --rates list cannot serve both: the flag diagrams take --n rates "
+            "and the word diagrams take one rate per part of --m; give --p or --m"
+        )
     results = {}
     if args.p is not None:
         if args.n is None:
@@ -259,8 +267,7 @@ def cmd_lump_check(args) -> int:
         rates = _perm_rates(args, Fraction(args.p))
         for diagram in ("flags-perms-proj", "flags-perms-incl"):
             results[diagram] = check_commuting(diagram, rates, p=args.p)
-    if args.m is not None:
-        m = _parse_composition(args.m)
+    if m is not None:
         if args.q is None:
             raise ConfigError("word diagrams require --q")
         rates = map_rates_word_to_perm(_word_rates(args, m, _parse_q(args.q)))

@@ -7,7 +7,10 @@ exchange and equality type.  The chain matrices are very sparse, so products
 skip zeros on both sides: `mat_mul` lists each row's nonzeros of its right
 factor once.  Every state-indexed matrix of the package (generators, weights,
 transition matrices, intertwiners) is assembled by `state_matrix` from one
-sparse row of (target, coeff) pairs per source state.
+sparse row of (target, coeff) pairs per source state.  `shift` forms
+M - lambda I by copying the rows and changing only the diagonal, and
+`scaled_integer_rows` gives D M as integer rows for the common denominator D
+of M and a set of scalars, which the spectral checks work on.
 
 Elimination is fraction-free: rows are scaled to integers and reduced by
 cross-multiplication followed by a gcd division, so intermediate entries stay
@@ -15,7 +18,7 @@ no larger than the corresponding minors.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Rational = Fraction
 
@@ -184,6 +187,35 @@ def vec_mat(v, m: Matrix):
     return out
 
 
+def shift(m: Matrix, lam) -> Matrix:
+    """m - lam I for a square m."""
+    if m.rows != m.cols:
+        raise ValueError("shift expects a square matrix")
+    out = Matrix.__new__(Matrix)
+    out.rows = out.cols = m.rows
+    out.data = shifted_rows(m.data, Fraction(lam))
+    return out
+
+
+def shifted_rows(rows, lam):
+    """Copies of the square `rows` with lam subtracted on the diagonal."""
+    out = [list(row) for row in rows]
+    for i, row in enumerate(out):
+        row[i] -= lam
+    return out
+
+
+def scaled_integer_rows(m: Matrix, scalars=()):
+    """(D, rows): D is the least positive integer that makes D*x integral for
+    every entry x of m and every x in `scalars`, and rows are the rows of
+    D*m as lists of ints."""
+    denominators = {x.denominator for row in m.data for x in row}
+    denominators.update(Fraction(x).denominator for x in scalars)
+    scale = lcm(*denominators)
+    rows = [[x.numerator * (scale // x.denominator) for x in row] for row in m.data]
+    return scale, rows
+
+
 def _integer_rows(m: Matrix):
     """Scale each row by the lcm of its denominators (preserves row space,
     rank and right null space) and strip common factors."""
@@ -193,10 +225,8 @@ def _integer_rows(m: Matrix):
         for x in row:
             d = x.denominator
             lcm = lcm // gcd(lcm, d) * d
-        ints = [int(x * lcm) for x in row]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
+        ints = [x.numerator * (lcm // x.denominator) for x in row]
+        g = gcd(*ints)
         if g > 1:
             ints = [v // g for v in ints]
         rows.append(ints)
@@ -232,12 +262,8 @@ def _echelon(rows, cols):
             v = rows[i][c]
             if not v:
                 continue
-            ri = rows[i]
-            rr = rows[r]
-            new = [piv * ri[k] - v * rr[k] for k in range(cols)]
-            g = 0
-            for x in new:
-                g = gcd(g, x)
+            new = [piv * a - v * b for a, b in zip(rows[i], rows[r])]
+            g = gcd(*new)
             if g > 1:
                 new = [x // g for x in new]
             rows[i] = new

@@ -7,12 +7,20 @@ checked as the exact nullity of (M - lambda I), and diagonalizability as the
 vanishing of the product of (M - lambda I) over the distinct catalog values.
 Entries whose values collide (non-generic rates) are merged, multiplicities
 added, before checking.
+
+Both checks run on integers.  D is the lcm of the denominators of M and of
+the catalog values, taken once per operator, so D M has integer rows and
+each D lambda is an integer.  The nullity is that of D M - (D lambda) I by
+fraction-free elimination; the product is applied to one unit row vector at
+a time, on the sparse integer rows of D M, and a row stops as soon as it
+vanishes.  Neither check is modular or randomized.
 """
 
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from .combinatorics import (
     derangement,
@@ -21,7 +29,7 @@ from .combinatorics import (
     q_derangement,
     q_int,
 )
-from .exact import Matrix, format_rational, mat_mul, rank_nullity
+from .exact import _echelon, format_rational, scaled_integer_rows, shifted_rows
 from .flags import _check_rates
 from .hecke_chains import LinearOperator, PermRates, WordRates
 
@@ -158,13 +166,15 @@ class MultiplicityReport:
 
 def verify_multiplicities(op: LinearOperator, catalog) -> MultiplicityReport:
     """Exact nullity of (M - lambda I) against the predicted multiplicity for
-    every merged catalog value, plus the total-dimension check."""
+    every merged catalog value, plus the total-dimension check.  The nullity
+    is that of the integer matrix D M - (D lambda) I."""
     m = op.matrix
     merged = merge_catalog(catalog)
+    scale, base = scaled_integer_rows(m, [e.value for e in merged])
     rows = []
     for entry in merged:
-        shifted = m - entry.value * Matrix.identity(m.rows)
-        _, nullity = rank_nullity(shifted)
+        shifted = shifted_rows(base, int(entry.value * scale))
+        nullity = m.cols - len(_echelon(shifted, m.cols))
         rows.append(
             (entry.label, entry.value, entry.multiplicity, nullity, nullity == entry.multiplicity)
         )
@@ -174,18 +184,33 @@ def verify_multiplicities(op: LinearOperator, catalog) -> MultiplicityReport:
 
 def verify_annihilation(op: LinearOperator, catalog) -> bool:
     """True iff the product of (M - lambda I) over distinct catalog values is
-    exactly zero (diagonalizability with the cataloged spectrum)."""
+    exactly zero (diagonalizability with the cataloged spectrum).
+
+    Row s of the product is e_s times the factors, one after the other; on
+    the integer rows of D M a factor is w <- w (D M) - (D lambda) w, and
+    dividing w by the gcd of its entries keeps it exactly as zero as it was.
+    """
     m = op.matrix
-    values = []
-    for e in catalog:
-        if e.value not in values:
-            values.append(e.value)
-    product = Matrix.identity(m.rows)
-    for v in values:
-        product = mat_mul(product, m - v * Matrix.identity(m.rows))
-        if product.is_zero():
-            return True
-    return product.is_zero()
+    values = list(dict.fromkeys(e.value for e in catalog))
+    scale, rows = scaled_integer_rows(m, values)
+    sparse = [[(k, x) for k, x in enumerate(row) if x] for row in rows]
+    scaled_values = [int(v * scale) for v in values]
+    for s in range(m.rows):
+        w = {s: 1}
+        for lam in scaled_values:
+            nxt = {j: -lam * a for j, a in w.items()}
+            for j, a in w.items():
+                for k, x in sparse[j]:
+                    nxt[k] = nxt.get(k, 0) + a * x
+            w = {k: x for k, x in nxt.items() if x}
+            if not w:
+                break
+            g = gcd(*w.values())
+            if g > 1:
+                w = {k: x // g for k, x in w.items()}
+        if w:
+            return False
+    return True
 
 
 def _random_positive_rationals(count, rng):

@@ -23,7 +23,7 @@ from .combinatorics import (
     state_key,
     word_states,
 )
-from .exact import Matrix, format_rational, left_null_space, vec_mat
+from .exact import format_rational, left_null_space, shift, vec_mat
 from .flags import _check_rates, coset_to_perm, enumerate_flags
 from .hecke_chains import LinearOperator, PermRates, WordRates
 
@@ -232,9 +232,7 @@ def stationary_oracle(op: LinearOperator, total_rate) -> StationaryVector:
     """Null-space oracle: the unique left eigenvector of the transition
     matrix with eigenvalue equal to the total rate, normalized to sum 1."""
     total_rate = Fraction(total_rate)
-    m = op.matrix
-    shifted = m - total_rate * Matrix.identity(m.rows)
-    basis = left_null_space(shifted)
+    basis = left_null_space(shift(op.matrix, total_rate))
     if len(basis) != 1:
         raise ValueError(
             f"left null space has dimension {len(basis)}, expected 1 "

@@ -19,7 +19,7 @@ from .combinatorics import (
     q_int,
     word_states,
 )
-from .exact import Matrix, mat_mul, vec_mat
+from .exact import Matrix, mat_mul, shift, vec_mat
 from .flags import (
     PartialFlag,
     coset_to_perm,
@@ -271,10 +271,8 @@ def suite_lumping(n_max, p_list, seed):
 
 
 def _hecke_relations(gens, q):
-    size = gens[0].rows
-    ident = Matrix.identity(size)
     for i, ti in enumerate(gens):
-        if not mat_mul(ti + ident, ti - q * ident).is_zero():
+        if not mat_mul(shift(ti, -1), shift(ti, q)).is_zero():
             return False
         for j in range(i + 2, len(gens)):
             if mat_mul(ti, gens[j]) != mat_mul(gens[j], ti):

@@ -239,6 +239,8 @@ class TestConfigErrors:
             "lump-check --n 4 --p 2 --rates 1/2,1/2",
             "verify --n-max -3",
             "verify --suite q1-reduction --n-max 1",
+            "lump-check --m 2,1 --q 2 --n 7",
+            "lump-check --n 3 --p 2 --m 2,1 --q 2 --rates 1/2,1/4,1/4",
         ],
     )
     def test_bad_input_exit_2_without_traceback(self, capsys, argv):

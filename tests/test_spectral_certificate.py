@@ -1,0 +1,174 @@
+"""The integer-row spectral certificate against the dense Fraction reference.
+
+The reference is the plain statement of both checks: the nullity of the
+Fraction matrix M - lambda I by `rank_nullity`, and the dense product of the
+M - lambda I over the distinct catalog values compared with zero.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qtsetlin.exact import Matrix, mat_mul, rank_nullity
+from qtsetlin.flags import transition_matrix_flags
+from qtsetlin.hecke_chains import (
+    LinearOperator,
+    PermRates,
+    transition_matrix_perm,
+    transition_matrix_word,
+)
+from qtsetlin.spectra import (
+    EigenEntry,
+    eigen_catalog_flags,
+    eigen_catalog_perm,
+    eigen_catalog_word,
+    generic_perm_rates,
+    generic_word_rates,
+    merge_catalog,
+    verify_annihilation,
+    verify_multiplicities,
+)
+from qtsetlin.suites import compositions
+
+
+def reference_annihilation(m, catalog):
+    values = []
+    for e in catalog:
+        if e.value not in values:
+            values.append(e.value)
+    product = Matrix.identity(m.rows)
+    for v in values:
+        product = mat_mul(product, m - v * Matrix.identity(m.rows))
+    return product.is_zero()
+
+
+def reference_nullities(m, catalog):
+    return [
+        rank_nullity(m - e.value * Matrix.identity(m.rows))[1] for e in merge_catalog(catalog)
+    ]
+
+
+def assert_agrees(op, catalog):
+    report = verify_multiplicities(op, catalog)
+    assert [computed for *_, computed, _ in report.entries] == reference_nullities(
+        op.matrix, catalog
+    )
+    assert verify_annihilation(op, catalog) == reference_annihilation(op.matrix, catalog)
+    return report
+
+
+CHAINS = (
+    [("perm", n) for n in range(1, 5)]
+    + [("word", m) for n in range(1, 5) for m in compositions(n)]
+    + [("flags", (n, p)) for n in range(1, 4) for p in (2, 3)]
+    # q = 1 with equal rates: the values collide and the catalog merges them
+    + [("uniform", n) for n in (3, 4)]
+)
+
+
+def chain(kind, arg):
+    if kind == "perm":
+        rates = generic_perm_rates(arg, seed=arg)
+        return transition_matrix_perm(rates), eigen_catalog_perm(rates)
+    if kind == "uniform":
+        rates = PermRates(F(1), (F(1, arg),) * arg)
+        return transition_matrix_perm(rates), eigen_catalog_perm(rates)
+    if kind == "word":
+        rates = generic_word_rates(arg, seed=sum(arg))
+        return transition_matrix_word(rates), eigen_catalog_word(rates)
+    n, p = arg
+    rates = generic_perm_rates(n, seed=n, p=p)
+    return transition_matrix_flags(rates, p), eigen_catalog_flags(rates, p)
+
+
+@pytest.mark.parametrize("kind,arg", CHAINS, ids=[f"{k}-{a}" for k, a in CHAINS])
+def test_chain_certificate_matches_reference(kind, arg):
+    op, catalog = chain(kind, arg)
+    report = assert_agrees(op, catalog)
+    assert report.all_pass
+    assert verify_annihilation(op, catalog)
+
+
+def test_missing_value_breaks_chain_annihilation():
+    rates = generic_perm_rates(4, seed=4)
+    op = transition_matrix_perm(rates)
+    catalog = eigen_catalog_perm(rates)
+    for drop in [e for e in catalog if e.multiplicity > 0][:2]:
+        kept = [e for e in catalog if e.value != drop.value]
+        assert not verify_annihilation(op, kept)
+        assert not reference_annihilation(op.matrix, kept)
+
+
+def unit_upper(size, above):
+    """I + N for the strictly upper entries `above`, and its inverse
+    sum_k (-N)^k (N is nilpotent)."""
+    it = iter(above)
+    n = Matrix([[next(it) if c > r else 0 for c in range(size)] for r in range(size)])
+    ident = Matrix.identity(size)
+    inverse, term = ident, ident
+    for _ in range(size):
+        term = mat_mul(term, F(-1) * n)
+        inverse = inverse + term
+    return ident + n, inverse
+
+
+def diagonal(values, jordan_at=None):
+    size = len(values)
+    rows = [[values[r] if c == r else 0 for c in range(size)] for r in range(size)]
+    if jordan_at is not None:
+        rows[jordan_at][jordan_at + 1] = 1
+    return Matrix(rows)
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+pool = st.lists(small, min_size=1, max_size=3, unique=True)
+
+
+@st.composite
+def planted(draw, jordan=False):
+    """P D P^-1 with P unit upper triangular, so upper triangular with the
+    diagonal of D; with jordan=True, D has a 2x2 Jordan block."""
+    values = draw(pool)
+    size = draw(st.integers(2 if jordan else 1, 5))
+    diag = [draw(st.sampled_from(values)) for _ in range(size)]
+    jordan_at = None
+    if jordan:
+        jordan_at = draw(st.integers(0, size - 2))
+        diag[jordan_at + 1] = diag[jordan_at]
+    above = draw(st.lists(small, min_size=size * size, max_size=size * size))
+    p, p_inv = unit_upper(size, above)
+    m = mat_mul(mat_mul(p, diagonal(diag, jordan_at)), p_inv)
+    catalog = [EigenEntry((i,), v, diag.count(v)) for i, v in enumerate(values)]
+    extra = draw(st.lists(small, max_size=2))
+    catalog += [EigenEntry(("extra",), v, 0) for v in extra]
+    return LinearOperator(tuple(range(size)), m), catalog, diag
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted())
+def test_planted_diagonalizable_spectrum(case):
+    op, catalog, diag = case
+    report = assert_agrees(op, catalog)
+    assert verify_annihilation(op, catalog)
+    for _, value, _, computed, _ in report.entries:
+        assert computed == diag.count(value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted(jordan=True))
+def test_planted_jordan_block_is_rejected(case):
+    op, catalog, _ = case
+    assert_agrees(op, catalog)
+    assert not verify_annihilation(op, catalog)
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted(), st.data())
+def test_planted_value_removed_is_rejected(case, data):
+    op, catalog, diag = case
+    drop = data.draw(st.sampled_from(sorted(set(diag))))
+    kept = [e for e in catalog if e.value != drop]
+    assert_agrees(op, kept)
+    assert not verify_annihilation(op, kept)
