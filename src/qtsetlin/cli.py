@@ -133,8 +133,11 @@ def _build_operator(args, rates):
 
 def _emit(args, text):
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as e:
+            raise ConfigError(f"cannot write --out {args.out}: {e.strerror or e}") from e
     else:
         print(text)
 

@@ -2,15 +2,15 @@
 Exact linear algebra over the rationals.
 
 Every scalar in this package is a `fractions.Fraction`, which is always stored
-reduced with a positive denominator.  `Matrix` is stored dense and is the
-exchange and equality type.  The chain matrices are very sparse, so products
-skip zeros on both sides: `mat_mul` lists each row's nonzeros of its right
-factor once.  Every state-indexed matrix of the package (generators, weights,
-transition matrices, intertwiners) is assembled by `state_matrix` from one
-sparse row of (target, coeff) pairs per source state.  `shift` forms
-M - lambda I by copying the rows and changing only the diagonal, and
-`scaled_integer_rows` gives D M as integer rows for the common denominator D
-of M and a set of scalars, which the spectral checks work on.
+reduced with a positive denominator.  `Matrix` is stored as sparse rows, one
+{col: value} dict of nonzeros per row, and is the exchange and equality type;
+`data` is a dense view for output.  The chain matrices are very sparse, and
+every operation touches only the nonzeros.  Every state-indexed matrix of the
+package (generators, weights, transition matrices, intertwiners) is assembled
+by `state_matrix` from one sparse row of (target, coeff) pairs per source
+state.  `shift` forms M - lambda I, and `scaled_integer_rows` gives D M as
+sparse integer rows for the common denominator D of M and a set of scalars,
+which the annihilation check works on.
 
 Elimination is fraction-free: rows are scaled to integers and reduced by
 cross-multiplication followed by a gcd division, so intermediate entries stay
@@ -56,180 +56,178 @@ def parse_rational(s: str) -> Fraction:
     return Fraction(s.strip())
 
 
-class Matrix:
-    """Dense matrix of Fractions, row-major.  Treated as immutable."""
+_ZERO = Fraction(0)
 
-    __slots__ = ("rows", "cols", "data")
+
+class Matrix:
+    """Matrix of Fractions; `nonzeros[r]` maps each column of a nonzero of row
+    r to its value.  Zeros are never stored.  Treated as immutable."""
+
+    __slots__ = ("rows", "cols", "nonzeros")
 
     def __init__(self, data):
-        self.data = [[Fraction(x) for x in row] for row in data]
-        self.rows = len(self.data)
-        self.cols = len(self.data[0]) if self.data else 0
-        if any(len(row) != self.cols for row in self.data):
+        data = [[Fraction(x) for x in row] for row in data]
+        self.rows = len(data)
+        self.cols = len(data[0]) if data else 0
+        if any(len(row) != self.cols for row in data):
             raise ValueError("ragged rows")
+        self.nonzeros = [{c: x for c, x in enumerate(row) if x} for row in data]
+
+    @classmethod
+    def _from_nonzeros(cls, nonzeros, cols):
+        m = cls.__new__(cls)
+        m.rows, m.cols, m.nonzeros = len(nonzeros), cols, nonzeros
+        return m
 
     @classmethod
     def zeros(cls, rows, cols):
-        m = cls.__new__(cls)
-        m.rows, m.cols = rows, cols
-        zero = Fraction(0)
-        m.data = [[zero] * cols for _ in range(rows)]
-        return m
+        return cls._from_nonzeros([{} for _ in range(rows)], cols)
 
     @classmethod
     def identity(cls, n):
-        m = cls.zeros(n, n)
         one = Fraction(1)
-        for i in range(n):
-            m.data[i][i] = one
-        return m
+        return cls._from_nonzeros([{i: one} for i in range(n)], n)
+
+    @property
+    def data(self):
+        """Dense rows, built on each access."""
+        return [self.row(r) for r in range(self.rows)]
 
     def __getitem__(self, rc):
         r, c = rc
-        return self.data[r][c]
+        if not 0 <= c < self.cols:
+            raise IndexError(f"column {c} out of range for {self.cols} columns")
+        return self.nonzeros[r].get(c, _ZERO)
 
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and self.nonzeros == other.nonzeros
         )
 
     def __hash__(self):
-        return hash(tuple(tuple(row) for row in self.data))
+        return hash((self.rows, self.cols, tuple(frozenset(row.items()) for row in self.nonzeros)))
 
     def __add__(self, other):
-        self._check_same_shape(other)
-        return Matrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ]
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ValueError(
+                f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
+            )
+        return Matrix._from_nonzeros(
+            [_accumulate([*a.items(), *b.items()]) for a, b in zip(self.nonzeros, other.nonzeros)],
+            self.cols,
         )
 
     def __sub__(self, other):
-        self._check_same_shape(other)
-        return Matrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ]
-        )
+        return self + other * -1
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             return mat_mul(self, other)
         c = Fraction(other)
-        return Matrix([[x * c for x in row] for row in self.data])
+        return Matrix._from_nonzeros(
+            [_accumulate((k, x * c) for k, x in row.items()) for row in self.nonzeros], self.cols
+        )
 
     __rmul__ = __mul__
 
-    def _check_same_shape(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError(
-                f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
-            )
-
     def transpose(self):
-        return Matrix(list(map(list, zip(*self.data)))) if self.rows else Matrix([])
+        out = [{} for _ in range(self.cols)]
+        for r, row in enumerate(self.nonzeros):
+            for c, x in row.items():
+                out[c][r] = x
+        return Matrix._from_nonzeros(out, self.rows)
 
     def is_zero(self):
-        return all(x == 0 for row in self.data for x in row)
+        return not any(self.nonzeros)
 
     def row(self, r):
-        return list(self.data[r])
+        out = [_ZERO] * self.cols
+        for c, x in self.nonzeros[r].items():
+            out[c] = x
+        return out
 
     def row_sums(self):
-        return [sum(row, Fraction(0)) for row in self.data]
+        return [sum(row.values(), _ZERO) for row in self.nonzeros]
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
 
 
+def _accumulate(pairs):
+    """Sparse row of the (col, value) pairs: repeated columns are added up,
+    and the entries that cancel to zero are dropped."""
+    row = {}
+    for c, x in pairs:
+        row[c] = row[c] + x if c in row else x
+    return {c: x for c, x in row.items() if x}
+
+
 def state_matrix(sources, targets, entries) -> Matrix:
     """Matrix with rows indexed by `sources` and columns by `targets`; the
     row of state s holds the (target, coeff) pairs of `entries(s)`, with
-    repeated targets added up."""
+    repeated targets added up and int coefficients made Fractions."""
     index = {t: c for c, t in enumerate(targets)}
-    m = Matrix.zeros(len(sources), len(targets))
-    for s, row in zip(sources, m.data):
-        for t, c in entries(s):
-            row[index[t]] += c
-    return m
+    return Matrix._from_nonzeros(
+        [_accumulate((index[t], Fraction(c)) for t, c in entries(s)) for s in sources], len(targets)
+    )
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Exact product; zero entries of both factors are skipped."""
+    """Exact product over the nonzeros of both factors."""
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    out = Matrix.zeros(a.rows, b.cols)
-    bnz = [[(k, y) for k, y in enumerate(row) if y] for row in b.data]
-    for arow, orow in zip(a.data, out.data):
-        for j, x in enumerate(arow):
-            if x:
-                for k, y in bnz[j]:
-                    orow[k] += x * y
-    return out
+    right = b.nonzeros
+    return Matrix._from_nonzeros(
+        [
+            _accumulate((k, x * y) for j, x in row.items() for k, y in right[j].items())
+            for row in a.nonzeros
+        ],
+        b.cols,
+    )
 
 
 def vec_mat(v, m: Matrix):
     """Row vector times matrix, exact; zeros of both factors are skipped."""
     if len(v) != m.rows:
         raise ValueError("dimension mismatch")
-    out = [Fraction(0)] * m.cols
-    for j, x in enumerate(v):
+    out = [_ZERO] * m.cols
+    for x, row in zip(v, m.nonzeros):
         if x:
-            row = m.data[j]
-            for k, y in enumerate(row):
-                if y:
-                    out[k] += x * y
+            for k, y in row.items():
+                out[k] += x * y
     return out
 
 
 def shift(m: Matrix, lam) -> Matrix:
-    """m - lam I for a square m."""
-    if m.rows != m.cols:
-        raise ValueError("shift expects a square matrix")
-    out = Matrix.__new__(Matrix)
-    out.rows = out.cols = m.rows
-    out.data = shifted_rows(m.data, Fraction(lam))
-    return out
-
-
-def shifted_rows(rows, lam):
-    """Copies of the square `rows` with lam subtracted on the diagonal."""
-    out = [list(row) for row in rows]
-    for i, row in enumerate(out):
-        row[i] -= lam
-    return out
+    """m - lam I for a square m; a ValueError for any other shape."""
+    return m - lam * Matrix.identity(m.rows)
 
 
 def scaled_integer_rows(m: Matrix, scalars=()):
     """(D, rows): D is the least positive integer that makes D*x integral for
-    every entry x of m and every x in `scalars`, and rows are the rows of
-    D*m as lists of ints."""
-    denominators = {x.denominator for row in m.data for x in row}
+    every entry x of m and every x in `scalars`, and rows are the sparse rows
+    of D*m as {col: int} dicts."""
+    denominators = {x.denominator for row in m.nonzeros for x in row.values()}
     denominators.update(Fraction(x).denominator for x in scalars)
     scale = lcm(*denominators)
-    rows = [[x.numerator * (scale // x.denominator) for x in row] for row in m.data]
+    rows = [{c: x.numerator * (scale // x.denominator) for c, x in row.items()} for row in m.nonzeros]
     return scale, rows
 
 
 def _integer_rows(m: Matrix):
-    """Scale each row by the lcm of its denominators (preserves row space,
-    rank and right null space) and strip common factors."""
+    """Dense int rows: each row scaled by the lcm of its denominators
+    (preserves row space, rank and right null space), common factors stripped."""
     rows = []
-    for row in m.data:
-        lcm = 1
-        for x in row:
-            d = x.denominator
-            lcm = lcm // gcd(lcm, d) * d
-        ints = [x.numerator * (lcm // x.denominator) for x in row]
+    for row in m.nonzeros:
+        scale = lcm(*(x.denominator for x in row.values()))
+        ints = [0] * m.cols
+        for c, x in row.items():
+            ints[c] = x.numerator * (scale // x.denominator)
         g = gcd(*ints)
-        if g > 1:
-            ints = [v // g for v in ints]
-        rows.append(ints)
+        rows.append([v // g for v in ints] if g > 1 else ints)
     return rows
 
 

@@ -26,8 +26,8 @@ Horner's rule w <- s + w . T_i for i = n-1, ..., 1, on a sparse
 {state: coeff} dict w, gives s . (1 + T_1 + T_2 T_1 + ... + T_{n-1} ... T_1),
 and target t is then scaled by its weight.  The word chain uses it with
 `_act` and the flag chain (`flags.transition_matrix_flags_hecke`) with the
-coset action.  `_shuffle_sum` keeps the dense product form as an
-independent oracle.
+coset action.  `_shuffle_sum` keeps the product form, a sum of products of
+generator matrices, as an independent oracle.
 """
 
 from dataclasses import dataclass

@@ -8,12 +8,12 @@ vanishing of the product of (M - lambda I) over the distinct catalog values.
 Entries whose values collide (non-generic rates) are merged, multiplicities
 added, before checking.
 
-Both checks run on integers.  D is the lcm of the denominators of M and of
-the catalog values, taken once per operator, so D M has integer rows and
-each D lambda is an integer.  The nullity is that of D M - (D lambda) I by
-fraction-free elimination; the product is applied to one unit row vector at
-a time, on the sparse integer rows of D M, and a row stops as soon as it
-vanishes.  Neither check is modular or randomized.
+The nullity comes from fraction-free elimination (`exact.rank_nullity`).
+The product runs on integers: D is the lcm of the denominators of M and of
+the catalog values, so D M has integer rows and each D lambda is an integer.
+It is applied to one unit row vector at a time, on the sparse integer rows
+of D M, and a row stops as soon as it vanishes.  Neither check is modular or
+randomized.
 """
 
 import random
@@ -29,7 +29,7 @@ from .combinatorics import (
     q_derangement,
     q_int,
 )
-from .exact import _echelon, format_rational, scaled_integer_rows, shifted_rows
+from .exact import format_rational, rank_nullity, scaled_integer_rows, shift
 from .flags import _check_rates
 from .hecke_chains import LinearOperator, PermRates, WordRates
 
@@ -166,15 +166,12 @@ class MultiplicityReport:
 
 def verify_multiplicities(op: LinearOperator, catalog) -> MultiplicityReport:
     """Exact nullity of (M - lambda I) against the predicted multiplicity for
-    every merged catalog value, plus the total-dimension check.  The nullity
-    is that of the integer matrix D M - (D lambda) I."""
+    every merged catalog value, plus the total-dimension check."""
     m = op.matrix
     merged = merge_catalog(catalog)
-    scale, base = scaled_integer_rows(m, [e.value for e in merged])
     rows = []
     for entry in merged:
-        shifted = shifted_rows(base, int(entry.value * scale))
-        nullity = m.cols - len(_echelon(shifted, m.cols))
+        _, nullity = rank_nullity(shift(m, entry.value))
         rows.append(
             (entry.label, entry.value, entry.multiplicity, nullity, nullity == entry.multiplicity)
         )
@@ -193,14 +190,13 @@ def verify_annihilation(op: LinearOperator, catalog) -> bool:
     m = op.matrix
     values = list(dict.fromkeys(e.value for e in catalog))
     scale, rows = scaled_integer_rows(m, values)
-    sparse = [[(k, x) for k, x in enumerate(row) if x] for row in rows]
     scaled_values = [int(v * scale) for v in values]
     for s in range(m.rows):
         w = {s: 1}
         for lam in scaled_values:
             nxt = {j: -lam * a for j, a in w.items()}
             for j, a in w.items():
-                for k, x in sparse[j]:
+                for k, x in rows[j].items():
                     nxt[k] = nxt.get(k, 0) + a * x
             w = {k: x for k, x in nxt.items() if x}
             if not w:

@@ -241,6 +241,8 @@ class TestConfigErrors:
             "verify --suite q1-reduction --n-max 1",
             "lump-check --m 2,1 --q 2 --n 7",
             "lump-check --n 3 --p 2 --m 2,1 --q 2 --rates 1/2,1/4,1/4",
+            "matrix --space perm --n 3 --q 2 --out /nonexistent/x",
+            "stationary --space word --m 1,2 --q 3 --out .",
         ],
     )
     def test_bad_input_exit_2_without_traceback(self, capsys, argv):
