@@ -64,13 +64,16 @@ def _parse_q(text):
     return q
 
 
-def _parse_composition(text):
+def _parse_composition(args):
+    """--m as a composition, checked against --n when both are given."""
     try:
-        parts = tuple(int(v) for v in text.split(","))
+        parts = tuple(int(v) for v in args.m.split(","))
     except ValueError as e:
-        raise ConfigError(f"bad composition {text!r}: {e}")
+        raise ConfigError(f"bad composition {args.m!r}: {e}")
     if any(v < 1 for v in parts):
         raise ConfigError("composition parts must be positive")
+    if args.n is not None and args.n != sum(parts):
+        raise ConfigError(f"--n {args.n} does not match --m {args.m}, which sums to {sum(parts)}")
     return parts
 
 
@@ -97,6 +100,9 @@ def _word_rates(args, m, q):
 def _load_config(args):
     """Validate the flag combination and build the rates for the space."""
     space = args.space
+    for name in {"flag": ("m",), "perm": ("p", "m"), "word": ("p",)}.get(space, ()):
+        if getattr(args, name) is not None:
+            raise ConfigError(f"the {space} space does not read --{name}; omit it")
     if space == "flag":
         if args.p is None:
             raise ConfigError("flag space requires --p")
@@ -118,7 +124,7 @@ def _load_config(args):
             raise ConfigError("word space requires --m")
         if args.q is None:
             raise ConfigError("word space requires --q")
-        m = _parse_composition(args.m)
+        m = _parse_composition(args)
         return _word_rates(args, m, _parse_q(args.q))
     raise ConfigError(f"unknown space {space!r}")
 
@@ -255,9 +261,9 @@ def cmd_spectrum(args) -> int:
 def cmd_lump_check(args) -> int:
     if args.p is not None and not is_prime(args.p):
         raise ConfigError(f"--p {args.p} is not prime")
-    m = _parse_composition(args.m) if args.m is not None else None
-    if m is not None and args.n is not None and args.n != sum(m):
-        raise ConfigError(f"--n {args.n} does not match --m {args.m}, which sums to {sum(m)}")
+    m = _parse_composition(args) if args.m is not None else None
+    if args.q is not None and m is None:
+        raise ConfigError("only the word diagrams read --q; give --m or omit --q")
     if args.p is not None and m is not None and args.rates is not None:
         raise ConfigError(
             "one --rates list cannot serve both: the flag diagrams take --n rates "
@@ -285,6 +291,8 @@ def cmd_lump_check(args) -> int:
 def cmd_verify(args) -> int:
     if args.n_max < 1:
         raise ConfigError(f"--n-max must be at least 1, got {args.n_max}")
+    if args.p == "":
+        raise ConfigError("--p is empty; omit it for the default 2,3")
     p_list = tuple(int(v) for v in args.p.split(",")) if args.p else (2, 3)
     for p in p_list:
         if not is_prime(p):
@@ -307,9 +315,8 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, with_space=True):
-        if with_space:
-            sp.add_argument("--space", choices=("perm", "word", "flag"), required=True)
+    def add_common(sp):
+        sp.add_argument("--space", choices=("perm", "word", "flag"), required=True)
         sp.add_argument("--n", type=int)
         sp.add_argument("--p", type=int)
         sp.add_argument("--q")

@@ -6,7 +6,8 @@ Permutations are tuples in one-line notation with values 1..n; words are
 tuples over the alphabet 1..l with content m = (m_1, ..., m_l), meaning the
 letter j occurs exactly m_j times.  Chain j of the poset carries the labels
 {n_{j-1}+1, ..., n_j} with n_j = m_1 + ... + m_j, bottom to top; an upper set
-removes the top a_j elements of chain j.
+removes the top a_j elements of chain j.  A linear extension is a shuffle of
+the chains: a word whose letter j stands for the next label of chain j.
 """
 
 import itertools
@@ -96,16 +97,8 @@ def block_sets(m):
 
 def standardize(word):
     """Replace the letters equal to j, left to right, by the values of block M_j."""
-    m = content(word)
-    starts = [1]
-    for part in m[:-1]:
-        starts.append(starts[-1] + part)
-    used = [0] * len(m)
-    out = []
-    for v in word:
-        out.append(starts[v - 1] + used[v - 1])
-        used[v - 1] += 1
-    return tuple(out)
+    labels = [iter(block) for block in block_sets(content(word))]
+    return tuple(next(labels[v - 1]) for v in word)
 
 
 def destandardize(perm, m):
@@ -203,37 +196,19 @@ def linear_extensions(m, removed=None):
     """Linear extensions of the chain-union poset with an upper set removed.
 
     Removing the upper set `removed` drops the top removed[j] labels of chain
-    j.  Extensions are emitted as tuples of surviving original labels listed
-    in rank order, so that within every chain smaller labels come first.
+    j.  Extensions are the words of `word_states` on the surviving chain
+    lengths, each letter j replaced by the next original label of chain j.
     """
     if removed is None:
         removed = (0,) * len(m)
     if len(removed) != len(m) or any(a < 0 or a > part for a, part in zip(removed, m)):
         raise ValueError("upper set does not fit the composition")
-    chains = []
-    lo = 1
-    for part, cut in zip(m, removed):
-        keep = part - cut
-        if keep:
-            chains.append(list(range(lo, lo + keep)))
-        lo += part
+    chains = [block[: part - cut] for block, part, cut in zip(block_sets(m), m, removed)]
+    chains = [chain for chain in chains if chain]
     out = []
-    taken = [0] * len(chains)
-    total = sum(len(c) for c in chains)
-
-    def build(prefix):
-        if len(prefix) == total:
-            out.append(tuple(prefix))
-            return
-        for i, chain in enumerate(chains):
-            if taken[i] < len(chain):
-                taken[i] += 1
-                prefix.append(chain[taken[i] - 1])
-                build(prefix)
-                prefix.pop()
-                taken[i] -= 1
-
-    build([])
+    for word in word_states([len(chain) for chain in chains]):
+        labels = [iter(chain) for chain in chains]
+        out.append(tuple(next(labels[j - 1]) for j in word))
     return out
 
 

@@ -95,8 +95,8 @@ class Matrix:
 
     def __getitem__(self, rc):
         r, c = rc
-        if not 0 <= c < self.cols:
-            raise IndexError(f"column {c} out of range for {self.cols} columns")
+        if not (0 <= r < self.rows and 0 <= c < self.cols):
+            raise IndexError(f"entry ({r}, {c}) out of range for a {self.rows}x{self.cols} matrix")
         return self.nonzeros[r].get(c, _ZERO)
 
     def __eq__(self, other):

@@ -1,8 +1,8 @@
 """
 Hecke generator actions on words, the diagonal weight operators, and the
 resulting transition matrices.  The permutation chain is the word chain at
-content (1^n): every letter occurs once, so the perm entry points only
-rewrap their rates as WordRates and delegate.
+content (1^n): every letter occurs once, so PermRates is WordRates at that
+content and the perm entry points pass their rates on to the word code.
 
 All operators act on the right.  A LinearOperator stores its matrix in the
 row-to-column convention: entry (r, c) is the coefficient of state c in
@@ -48,35 +48,6 @@ __all__ = [
     "transition_matrix_perm",
     "transition_matrix_word",
 ]
-
-
-@dataclass(frozen=True)
-class PermRates:
-    """Rates for the permutation chain: one weight per book, plus q != 0."""
-
-    q: Fraction
-    x: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", Fraction(self.q))
-        object.__setattr__(self, "x", tuple(Fraction(v) for v in self.x))
-        if self.q == 0:
-            raise ValueError("q must be nonzero")
-
-    @property
-    def n(self):
-        return len(self.x)
-
-    def total(self) -> Fraction:
-        return sum(self.x, Fraction(0))
-
-    def y(self, i: int) -> Fraction:
-        """Change of variables y_i = x_i / q^(n-i), 1-based."""
-        return self.x[i - 1] / self.q ** (self.n - i)
-
-    def as_word(self) -> "WordRates":
-        """The same rates on the word chain of content (1^n)."""
-        return WordRates(self.q, self.x, (1,) * self.n)
 
 
 @dataclass(frozen=True)
@@ -133,6 +104,21 @@ class WordRates:
         return tuple(out)
 
 
+class PermRates(WordRates):
+    """Rates x_i for the permutation chain: the word rates at content (1^n)."""
+
+    def __init__(self, q, x):
+        super().__init__(q, x, (1,) * len(x))
+
+    @property
+    def x(self):
+        return self.xbar
+
+    def y(self, i: int) -> Fraction:
+        """Change of variables y_i = x_i / q^(n-i), 1-based."""
+        return self.xbar[i - 1] / self.q ** (self.n - i)
+
+
 @dataclass(frozen=True)
 class LinearOperator:
     """Square matrix together with its ordered state index."""
@@ -187,7 +173,7 @@ def hecke_generator_word(i: int, m, q) -> LinearOperator:
 
 def weight_op_perm(rates: PermRates) -> LinearOperator:
     """Diagonal operator sending a permutation to x_{pi_1}/q^(n-pi_1) times itself."""
-    return weight_op_word(rates.as_word())
+    return weight_op_word(rates)
 
 
 def weight_op_word(rates: WordRates) -> LinearOperator:
@@ -212,7 +198,7 @@ def _shuffle_sum(generator_matrices, size):
 
 def transition_matrix_perm(rates: PermRates) -> LinearOperator:
     """Transition matrix of the weighted shuffle on S_n (lexicographic states)."""
-    return transition_matrix_word(rates.as_word())
+    return transition_matrix_word(rates)
 
 
 def _shuffle_operator(states, act, n, weight):

@@ -2,6 +2,10 @@
 Eigenvalue catalogs with predicted multiplicities for the three chains, and
 their exact verification.
 
+The permutation chain is the word chain at content (1^n), whose upper sets
+are the 0/1 indicators of subsets of [n]; its catalog keeps only its own
+labels (subsets) and multiplicities.
+
 Characteristic polynomials are never expanded: a predicted multiplicity is
 checked as the exact nullity of (M - lambda I), and diagonalizability as the
 vanishing of the product of (M - lambda I) over the distinct catalog values.
@@ -56,26 +60,6 @@ class EigenEntry:
     multiplicity: int
 
 
-def subset_eigenvalue(subset_desc, rates: PermRates) -> Fraction:
-    """lambda_S = sum_j x_{i_j} / q^(n - i_j - j + 1) for S = {i_1 > i_2 > ...}."""
-    n = rates.n
-    total = Fraction(0)
-    for j, i in enumerate(subset_desc, start=1):
-        total += rates.x[i - 1] / rates.q ** (n - i - j + 1)
-    return total
-
-
-def eigen_catalog_perm(rates: PermRates):
-    """One entry per subset of [n]; multiplicity derangement(n - |S|)."""
-    n = rates.n
-    out = []
-    for k in range(n + 1):
-        for combo in combinations(range(1, n + 1), k):
-            label = tuple(sorted(combo, reverse=True))
-            out.append(EigenEntry(label, subset_eigenvalue(label, rates), derangement(n - k)))
-    return out
-
-
 def upper_set_eigenvalue(a, rates: WordRates) -> Fraction:
     """lambda_a = sum_j ybar_j q^(a_{j+1} + ... + a_l) [a_j]_q over the letters
     with a_j > 0."""
@@ -85,6 +69,20 @@ def upper_set_eigenvalue(a, rates: WordRates) -> Fraction:
         if aj:
             total += rates.ybar(j) * q ** sum(a[j:]) * q_int(aj, q)
     return total
+
+
+def eigen_catalog_perm(rates: PermRates):
+    """One entry per subset S of [n], labelled by S as a decreasing tuple;
+    the value is the upper-set eigenvalue of S's 0/1 indicator, and the
+    multiplicity derangement(n - |S|)."""
+    n = rates.n
+    out = []
+    for k in range(n + 1):
+        for combo in combinations(range(1, n + 1), k):
+            indicator = tuple(int(i in combo) for i in range(1, n + 1))
+            label = combo[::-1]
+            out.append(EigenEntry(label, upper_set_eigenvalue(indicator, rates), derangement(n - k)))
+    return out
 
 
 def eigen_catalog_word(rates: WordRates):

@@ -80,7 +80,7 @@ class StationaryVector:
 def kappa_perm(b, rates: PermRates) -> Fraction:
     """Weighted prefix sum over the weakly decreasing sort of b:
     sum_i x_{b_i} q^(i + b_i - k - 1); the empty tuple gives 0."""
-    return kappa_word(b, rates.as_word())
+    return kappa_word(b, rates)
 
 
 def kappa_word(b, rates: WordRates) -> Fraction:
@@ -103,7 +103,7 @@ def kappa_word(b, rates: WordRates) -> Fraction:
 def perm_factors(perm, rates: PermRates):
     """(prefactor, numerator factors, denominator factors) of the closed form
     for one permutation."""
-    return word_factors(perm, rates.as_word())
+    return word_factors(perm, rates)
 
 
 @lru_cache(maxsize=64)
@@ -152,7 +152,7 @@ def _product_of_factors(state, pre, nums, dens, label):
 
 
 def stationary_perm_formula(rates: PermRates) -> StationaryVector:
-    return stationary_word_formula(rates.as_word())
+    return stationary_word_formula(rates)
 
 
 def stationary_word_formula(rates: WordRates) -> StationaryVector:

@@ -243,12 +243,43 @@ class TestConfigErrors:
             "lump-check --n 3 --p 2 --m 2,1 --q 2 --rates 1/2,1/4,1/4",
             "matrix --space perm --n 3 --q 2 --out /nonexistent/x",
             "stationary --space word --m 1,2 --q 3 --out .",
+            "matrix --space word --m 1,2 --q 2 --n 7",
+            "matrix --space perm --n 2 --q 2 --p 5",
+            "matrix --space perm --n 2 --q 2 --m 3,4",
+            "matrix --space flag --n 2 --p 2 --m 1,1",
+            "lump-check --n 2 --p 2 --q 5",
+            "verify --suite hecke --n-max 2 --p=",
         ],
     )
     def test_bad_input_exit_2_without_traceback(self, capsys, argv):
         code, _, err = run(capsys, *argv.split())
         assert code == 2
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            ("matrix --space perm --n 2 --q 2 --p 5", "--p"),
+            ("matrix --space perm --n 2 --q 2 --m 3,4", "--m"),
+            ("matrix --space flag --n 2 --p 2 --m 1,1", "--m"),
+            ("stationary --space word --m 1,2 --q 2 --p 3", "--p"),
+            ("matrix --space word --m 1,2 --q 2 --n 7", "--n"),
+            ("lump-check --n 2 --p 2 --q 5", "--q"),
+            ("verify --suite hecke --n-max 2 --p=", "--p"),
+        ],
+    )
+    def test_unread_argument_is_named(self, capsys, argv, name):
+        code, _, err = run(capsys, *argv.split())
+        assert code == 2
+        assert name in err
+
+    def test_word_n_equal_to_content_size_is_accepted(self, capsys):
+        argv = ["matrix", "--space", "word", "--m", "1,2", "--q", "2"]
+        code, without_n, _ = run(capsys, *argv)
+        assert code == 0
+        code, with_n, _ = run(capsys, *argv, "--n", "3")
+        assert code == 0
+        assert with_n == without_n
 
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

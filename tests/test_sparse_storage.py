@@ -4,6 +4,7 @@ equal rows and equal hashes."""
 
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -79,3 +80,11 @@ def test_state_matrix_row_that_cancels_is_empty():
     assert m.nonzeros[0] == {}
     assert_same(m, Matrix([[0, 0], [1, 0]]))
     assert type(m[1, 0]) is F
+
+
+def test_index_out_of_range_raises_for_rows_and_columns():
+    m = Matrix([[1], [2]])
+    assert m[1, 0] == 2
+    for rc in ((-1, 0), (2, 0), (0, -1), (0, 1)):
+        with pytest.raises(IndexError):
+            m[rc]
