@@ -293,7 +293,12 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"--n-max must be at least 1, got {args.n_max}")
     if args.p == "":
         raise ConfigError("--p is empty; omit it for the default 2,3")
-    p_list = tuple(int(v) for v in args.p.split(",")) if args.p else (2, 3)
+    if args.p is not None and args.suite == "q1-reduction":
+        raise ConfigError("the q1-reduction suite does not read --p; omit it")
+    try:
+        p_list = tuple(int(v) for v in args.p.split(",")) if args.p else (2, 3)
+    except ValueError as e:
+        raise ConfigError(f"bad --p {args.p!r}: {e}")
     for p in p_list:
         if not is_prime(p):
             raise ConfigError(f"--p entry {p} is not prime")

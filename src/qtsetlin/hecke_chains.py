@@ -103,6 +103,11 @@ class WordRates:
             out.append(xbar * q**n_j / q_int(part, q))
         return tuple(out)
 
+    @cached_property
+    def _factor_memo(self) -> dict:
+        """Closed-form factors evaluated so far, kept by `stationary.word_factors`."""
+        return {}
+
 
 class PermRates(WordRates):
     """Rates x_i for the permutation chain: the word rates at content (1^n)."""

@@ -8,21 +8,18 @@ can be asserted factor by factor and zero denominators can be reported
 eagerly, naming the state and the offending factor.  The permutation chain is
 the word chain at content (1^n), so `kappa_perm`, `perm_factors` and
 `stationary_perm_formula` delegate to their word versions.
+
+Each factor of a word w depends on little of it: the prefactor on inv(w), the
+k-th denominator on the content of w[:k-1], the k-th numerator on the content
+of w[p_k-1:k-1] and the letter w_k.  `word_factors` memoizes them under that
+data on the rates (`WordRates._factor_memo`), once per sub-multiset.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .combinatorics import (
-    inv,
-    lrm_positions,
-    p_k,
-    perm_states,
-    q_factorial,
-    state_key,
-    word_states,
-)
+from .combinatorics import inv, perm_states, q_factorial, state_key, word_states
 from .exact import format_rational, left_null_space, shift, vec_mat
 from .flags import _check_rates, coset_to_perm, enumerate_flags
 from .hecke_chains import LinearOperator, PermRates, WordRates
@@ -118,37 +115,46 @@ def _fiber_factor(m, q) -> Fraction:
 
 
 def word_factors(word, rates: WordRates):
-    """(prefactor, numerator factors, denominator factors) for one word."""
+    """(prefactor, numerator factors, denominator factors) for one word,
+    each looked up in the rates' factor memo under the data it depends on."""
+    memo = rates._factor_memo
     n = rates.n
     q = rates.q
-    total = rates.total()
-    pre = q ** (-inv(word)) * _fiber_factor(rates.m, q)
-    lrm = set(lrm_positions(word))
+    key = ("pre", inv(word))
+    if (pre := memo.get(key)) is None:
+        pre = memo[key] = q ** -key[1] * _fiber_factor(rates.m, q)
     nums = []
     dens = []
     for k in range(1, n):
-        dens.append(total - q ** (k - n - 1) * kappa_word(word[: k - 1], rates))
-        if k in lrm:
-            nums.append(kappa_word((word[k - 1],), rates))
-        else:
-            pk = p_k(word, k)
-            nums.append(
-                kappa_word(word[pk - 1 : k], rates)
-                - kappa_word(word[pk - 1 : k - 1], rates) / q
-            )
+        prefix = word[: k - 1]
+        key = ("den", tuple(sorted(prefix)))
+        if (d := memo.get(key)) is None:
+            d = memo[key] = rates.total() - q ** (k - n - 1) * kappa_word(prefix, rates)
+        dens.append(d)
+        # The segment runs from p_k to k - 1; it is empty at a left-to-right minimum.
+        v = word[k - 1]
+        i = next((j for j in range(k - 1) if word[j] < v), k - 1)
+        segment = word[i : k - 1]
+        key = ("num", tuple(sorted(segment)), v)
+        if (f := memo.get(key)) is None:
+            f = memo[key] = kappa_word(word[i:k], rates) - kappa_word(segment, rates) / q
+        nums.append(f)
     return pre, nums, dens
 
 
 def _product_of_factors(state, pre, nums, dens, label):
-    value = pre
+    """pre * prod(nums) / prod(dens), multiplied out on integers and reduced once."""
+    a, b = pre.numerator, pre.denominator
     for f in nums:
-        value *= f
+        a *= f.numerator
+        b *= f.denominator
     for k, d in enumerate(dens, start=1):
         if d == 0:
             name = state_key(state)
             raise ValueError(f"{label} denominator factor k={k} vanishes at state {name}")
-        value /= d
-    return value
+        a *= d.denominator
+        b *= d.numerator
+    return Fraction(a, b)
 
 
 def stationary_perm_formula(rates: PermRates) -> StationaryVector:

@@ -249,6 +249,8 @@ class TestConfigErrors:
             "matrix --space flag --n 2 --p 2 --m 1,1",
             "lump-check --n 2 --p 2 --q 5",
             "verify --suite hecke --n-max 2 --p=",
+            "verify --suite q1-reduction --n-max 2 --p 7",
+            "verify --suite hecke --n-max 2 --p x",
         ],
     )
     def test_bad_input_exit_2_without_traceback(self, capsys, argv):
@@ -266,12 +268,19 @@ class TestConfigErrors:
             ("matrix --space word --m 1,2 --q 2 --n 7", "--n"),
             ("lump-check --n 2 --p 2 --q 5", "--q"),
             ("verify --suite hecke --n-max 2 --p=", "--p"),
+            ("verify --suite q1-reduction --n-max 2 --p 7", "--p"),
         ],
     )
     def test_unread_argument_is_named(self, capsys, argv, name):
         code, _, err = run(capsys, *argv.split())
         assert code == 2
         assert name in err
+
+    @pytest.mark.parametrize("value", ["x", "2,y", "3.5"])
+    def test_unparsable_p_is_named(self, capsys, value):
+        code, _, err = run(capsys, "verify", "--suite", "hecke", "--n-max", "2", "--p", value)
+        assert code == 2
+        assert f"bad --p {value!r}" in err
 
     def test_word_n_equal_to_content_size_is_accepted(self, capsys):
         argv = ["matrix", "--space", "word", "--m", "1,2", "--q", "2"]
