@@ -77,11 +77,21 @@ def _parse_composition(args):
     return parts
 
 
+def _given_rates(args):
+    """The parsed --rates list, or None when rates are sampled from --seed
+    (default 0); --seed has nothing to sample once --rates is given."""
+    if args.rates is None:
+        return None
+    if args.seed is not None:
+        raise ConfigError("--seed samples rates and is not read with --rates; omit it")
+    return _parse_rates(args.rates)
+
+
 def _perm_rates(args, q):
     """--rates at q, checked against --n, or generic rates from --seed."""
-    if args.rates is None:
-        return generic_perm_rates(args.n, seed=args.seed, q=q)
-    x = _parse_rates(args.rates)
+    x = _given_rates(args)
+    if x is None:
+        return generic_perm_rates(args.n, seed=args.seed or 0, q=q)
     if len(x) != args.n:
         raise ConfigError(f"expected {args.n} rates, got {len(x)}")
     return PermRates(q, x)
@@ -89,9 +99,9 @@ def _perm_rates(args, q):
 
 def _word_rates(args, m, q):
     """--rates at q, checked against the composition, or generic rates."""
-    if args.rates is None:
-        return generic_word_rates(m, seed=args.seed, q=q)
-    xbar = _parse_rates(args.rates)
+    xbar = _given_rates(args)
+    if xbar is None:
+        return generic_word_rates(m, seed=args.seed or 0, q=q)
     if len(xbar) != len(m):
         raise ConfigError(f"expected {len(m)} rates, got {len(xbar)}")
     return WordRates(q, xbar, m)
@@ -289,8 +299,11 @@ def cmd_lump_check(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.n_max < 1:
-        raise ConfigError(f"--n-max must be at least 1, got {args.n_max}")
+    if args.n_max is not None and args.suite == "matrix":
+        raise ConfigError("the matrix suite does not read --n-max; omit it")
+    n_max = 3 if args.n_max is None else args.n_max
+    if n_max < 1:
+        raise ConfigError(f"--n-max must be at least 1, got {n_max}")
     if args.p == "":
         raise ConfigError("--p is empty; omit it for the default 2,3")
     if args.p is not None and args.suite == "q1-reduction":
@@ -302,9 +315,9 @@ def cmd_verify(args) -> int:
     for p in p_list:
         if not is_prime(p):
             raise ConfigError(f"--p entry {p} is not prime")
-    checks = suites.run_suite(args.suite, n_max=args.n_max, p_list=p_list, seed=args.seed)
+    checks = suites.run_suite(args.suite, n_max=n_max, p_list=p_list, seed=args.seed)
     if not checks:
-        raise ConfigError(f"suite {args.suite!r} has no checks at --n-max {args.n_max}")
+        raise ConfigError(f"suite {args.suite!r} has no checks at --n-max {n_max}")
     width = max(len(name) for name, _ in checks)
     for name, ok in checks:
         print(f"{'PASS' if ok else 'FAIL'}  {name:<{width}}")
@@ -328,7 +341,7 @@ def build_parser():
         sp.add_argument("--rates", help="comma-separated rationals, e.g. 1/2,1/3,1/6")
         sp.add_argument("--m", help="composition for the word space, e.g. 1,2")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=int)
         sp.add_argument("--out", help="write output to this file instead of stdout")
 
     sp = sub.add_parser("matrix", help="emit a transition matrix")
@@ -355,13 +368,13 @@ def build_parser():
     sp.add_argument("--q")
     sp.add_argument("--m")
     sp.add_argument("--rates")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_lump_check)
 
     sp = sub.add_parser("verify", help="run the verification suite")
     sp.add_argument("--suite", default="all", choices=suites.SUITES)
-    sp.add_argument("--n-max", type=int, default=3, dest="n_max")
+    sp.add_argument("--n-max", type=int, dest="n_max", help="default 3; the matrix suite does not read it")
     sp.add_argument("--p", help="comma-separated primes, default 2,3")
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_verify)

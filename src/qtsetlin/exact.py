@@ -25,7 +25,6 @@ Rational = Fraction
 __all__ = [
     "Rational",
     "Matrix",
-    "rat",
     "format_rational",
     "parse_rational",
     "mat_mul",
@@ -33,13 +32,6 @@ __all__ = [
     "null_space",
     "left_null_space",
 ]
-
-
-def rat(value, denom=None) -> Fraction:
-    """Coerce to Fraction; rat(a, b) means a/b."""
-    if denom is not None:
-        return Fraction(value, denom)
-    return Fraction(value)
 
 
 def format_rational(x: Fraction) -> str:

@@ -10,10 +10,13 @@ pivot is its topmost nonzero entry and pivot rows vanish in later columns).
 Column operations only ever add earlier columns to later ones or rescale, so
 they never change the chain of column spans.
 
-Subspaces (inside partial flags and the Cayley-graph walk) are stored as
-reduced echelon bases, making subspace equality plain tuple equality.
+`_canonical_columns` is the one F_p elimination.  Subspaces of partial
+flags are its columns with every pivot row cleared (reduced echelon bases, so
+subspace equality is tuple equality), and the path method reads the step at
+which each line enters a flag off the flag's canonical columns.
 """
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -116,15 +119,15 @@ class FlagRep:
 def _canonical_columns(cols, p):
     """Column-reduce to canonical form; dependent columns drop out.
 
-    Returns (columns, pivot rows).  Sweeping the already-placed pivot rows
-    from top to bottom suffices, because clearing a pivot row only disturbs
-    the rows below it.
+    Returns the columns in input order and the (pivot row, column) pairs
+    sorted by pivot row.  Sweeping the placed pivot rows from top to bottom
+    suffices, because clearing a pivot row only disturbs the rows below it.
     """
     out = []
-    pivots = []
+    placed = []
     for col in cols:
         col = [a % p for a in col]
-        for row, ocol in sorted(zip(pivots, out)):
+        for row, ocol in placed:
             c = col[row]
             if c:
                 col = [(a - c * b) % p for a, b in zip(col, ocol)]
@@ -132,9 +135,10 @@ def _canonical_columns(cols, p):
         if lead is None:
             continue
         s = _inv_mod(col[lead], p)
-        out.append(tuple((a * s) % p for a in col))
-        pivots.append(lead)
-    return tuple(out), tuple(pivots)
+        col = tuple([(a * s) % p for a in col])
+        out.append(col)
+        bisect.insort(placed, (lead, col))
+    return tuple(out), tuple(placed)
 
 
 def canonicalize_coset(rows, p: int) -> FlagRep:
@@ -149,8 +153,7 @@ def canonicalize_coset(rows, p: int) -> FlagRep:
 
 
 def _canonical_flag(cols, p) -> FlagRep:
-    out, _ = _canonical_columns(cols, p)
-    return FlagRep(out, p)
+    return FlagRep(_canonical_columns(cols, p)[0], p)
 
 
 def coset_to_perm(flag: FlagRep) -> tuple:
@@ -265,34 +268,15 @@ def transition_matrix_flags_hecke(rates: PermRates, p: int) -> LinearOperator:
 # Subspaces and the partial-flag semigroup
 
 
-def _reduce_vector(v, basis, p):
-    v = list(v)
-    for b in basis:
-        lead = next(r for r, a in enumerate(b) if a)
-        c = v[lead]
-        if c:
-            v = [(a - c * bb) % p for a, bb in zip(v, b)]
-    return tuple(v)
-
-
 def span_basis(vectors, p):
-    """Reduced echelon basis of the span, ordered by pivot position."""
-    basis = []
-    for v in vectors:
-        v = _reduce_vector(v, basis, p)
-        if any(v):
-            lead = next(r for r, a in enumerate(v) if a)
-            v = tuple((a * _inv_mod(v[lead], p)) % p for a in v)
-            basis = [
-                tuple((a - b[lead] * vv) % p for a, vv in zip(b, v)) for b in basis
-            ]
-            basis.append(v)
-            basis.sort(key=lambda b: next(r for r, a in enumerate(b) if a))
-    return tuple(basis)
+    """Reduced echelon basis of the span, ordered by pivot row.
 
-
-def _contains(basis, v, p) -> bool:
-    return not any(_reduce_vector(v, basis, p))
+    The canonical columns of the vectors are fed back lowest pivot first:
+    each column's pivot then lies above every pivot placed before it, so the
+    sweep clears all the other pivot rows and leaves every pivot in place.
+    """
+    lowest_first = [col for _, col in reversed(_canonical_columns(vectors, p)[1])]
+    return _canonical_columns(lowest_first, p)[0][::-1]
 
 
 @dataclass(frozen=True)
@@ -305,36 +289,41 @@ class PartialFlag:
 
     @classmethod
     def from_vectors(cls, vector_chains, n, p):
-        """Build from cumulative spanning vectors, one batch per step;
-        batches that do not grow the span are dropped."""
+        """Build from cumulative spanning vectors, one batch per step: each
+        step spans the top subspace so far plus its batch, and batches that
+        do not grow the span are dropped."""
         chain = []
-        seen = []
         for vecs in vector_chains:
-            seen.extend(vecs)
-            sub = span_basis(seen, p)
+            sub = span_basis([*(chain[-1] if chain else ()), *vecs], p)
             if not chain or sub != chain[-1]:
                 chain.append(sub)
         return cls(tuple(chain), n, p)
-
-    @classmethod
-    def from_flag(cls, flag: FlagRep):
-        chain = []
-        for j in range(1, flag.n + 1):
-            chain.append(span_basis(flag.cols[:j], flag.p))
-        return cls(tuple(chain), flag.n, flag.p)
 
 
 def lrb_product(a: PartialFlag, b: PartialFlag) -> PartialFlag:
     """Concatenate-and-saturate product; repeated subspaces are removed."""
     if a.n != b.n or a.p != b.p:
         raise ValueError("partial flags live in different spaces")
-    chain = list(a.chain)
-    top = list(a.chain[-1]) if a.chain else []
-    for w in b.chain:
-        joined = span_basis(top + list(w), a.p)
-        if not chain or joined != chain[-1]:
-            chain.append(joined)
-    return PartialFlag(tuple(chain), a.n, a.p)
+    return PartialFlag.from_vectors([*a.chain, *b.chain], a.n, a.p)
+
+
+def _entry_step(flag: FlagRep, v) -> int:
+    """The least j with v in V_j, for a canonical flag.
+
+    v is reduced against the columns in order, each at its pivot row (the
+    row of the column's first 1).  A column vanishes at the pivot rows of the
+    earlier columns, so this writes v in the column basis, and V_j holds v
+    exactly when every coefficient after column j is zero.
+    """
+    p = flag.p
+    v = list(v)
+    step = 0
+    for j, col in enumerate(flag.cols, start=1):
+        c = v[col.index(1)]
+        if c:
+            v = [(a - c * b) % p for a, b in zip(v, col)]
+            step = j
+    return step
 
 
 def rcayley_stationary(rates: PermRates, p: int, flag: FlagRep) -> Fraction:
@@ -344,22 +333,18 @@ def rcayley_stationary(rates: PermRates, p: int, flag: FlagRep) -> Fraction:
     Every transition path from the empty flag to F walks F's prefix chain,
     so parallel edges are grouped per step: the numerator collects the lines
     first contained at each step, the denominator the stabilizing lines.
-    Requires the rates to sum to 1.
+    Requires the rates to sum to 1 and a canonical flag.
     """
     _check_rates(rates, p)
     if rates.total() != 1:
         raise ValueError("the path method requires rates summing to 1")
     n = flag.n
-    prefixes = PartialFlag.from_flag(flag).chain
     step_weight = [Fraction(0)] * (n + 1)
     for line in enumerate_lines(n, p):
-        v = line.vector(n)
-        first = next(j for j in range(1, n + 1) if _contains(prefixes[j - 1], v, p))
-        step_weight[first] += line_weight(line, rates)
-    numerator = Fraction(1)
+        step_weight[_entry_step(flag, line.vector(n))] += line_weight(line, rates)
+    value = Fraction(1)
     for j in range(1, n + 1):
-        numerator *= step_weight[j]
-    value = numerator
+        value *= step_weight[j]
     stab = Fraction(0)
     for j in range(1, n):
         stab += step_weight[j]

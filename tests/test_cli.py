@@ -251,6 +251,12 @@ class TestConfigErrors:
             "verify --suite hecke --n-max 2 --p=",
             "verify --suite q1-reduction --n-max 2 --p 7",
             "verify --suite hecke --n-max 2 --p x",
+            "matrix --space perm --n 3 --q 2 --rates 1/2,1/3,1/6 --seed 5",
+            "stationary --space word --m 1,2 --q 3 --rates 2/5,3/5 --seed 0",
+            "spectrum --space flag --n 3 --p 2 --rates 1/2,1/3,1/6 --seed 1",
+            "lump-check --m 2,1 --q 2 --rates 1/3,2/3 --seed 2",
+            "verify --suite matrix --n-max 1",
+            "verify --suite matrix --n-max 40",
         ],
     )
     def test_bad_input_exit_2_without_traceback(self, capsys, argv):
@@ -269,6 +275,12 @@ class TestConfigErrors:
             ("lump-check --n 2 --p 2 --q 5", "--q"),
             ("verify --suite hecke --n-max 2 --p=", "--p"),
             ("verify --suite q1-reduction --n-max 2 --p 7", "--p"),
+            ("matrix --space perm --n 3 --q 2 --rates 1/2,1/3,1/6 --seed 5", "--seed"),
+            ("stationary --space word --m 1,2 --q 3 --rates 2/5,3/5 --seed 0", "--seed"),
+            ("spectrum --space flag --n 3 --p 2 --rates 1/2,1/3,1/6 --seed 1", "--seed"),
+            ("lump-check --m 2,1 --q 2 --rates 1/3,2/3 --seed 2", "--seed"),
+            ("verify --suite matrix --n-max 1", "--n-max"),
+            ("verify --suite matrix --n-max 40", "--n-max"),
         ],
     )
     def test_unread_argument_is_named(self, capsys, argv, name):

@@ -1,0 +1,175 @@
+"""The subspace code of `flags` against the eliminations it replaced.
+
+`span_basis`, `lrb_product` and the path method `rcayley_stationary` all run
+on `_canonical_columns`.  The references below are the former versions: a
+span built by reducing each vector against a reduced echelon basis, a
+partial flag that spans every vector seen so far at each step, a product
+that spans the left factor's top with each step of the right one,
+and a path method that builds every prefix span of the flag and tests each
+line for containment prefix by prefix.  Each must agree with its reference
+result for result.
+"""
+
+import itertools
+import random
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qtsetlin.flags import (
+    PartialFlag,
+    _entry_step,
+    enumerate_flags,
+    enumerate_lines,
+    line_weight,
+    lrb_product,
+    rcayley_stationary,
+    span_basis,
+)
+from qtsetlin.hecke_chains import PermRates
+from qtsetlin.spectra import generic_perm_rates
+from qtsetlin.stationary import stationary_flags_formula
+
+
+def _lead(v):
+    return next(r for r, a in enumerate(v) if a)
+
+
+def _reduce_vector(v, basis, p):
+    v = list(v)
+    for b in basis:
+        c = v[_lead(b)]
+        if c:
+            v = [(a - c * bb) % p for a, bb in zip(v, b)]
+    return tuple(v)
+
+
+def reference_span_basis(vectors, p):
+    basis = []
+    for v in vectors:
+        v = _reduce_vector(v, basis, p)
+        if any(v):
+            lead = _lead(v)
+            v = tuple((a * pow(v[lead], p - 2, p)) % p for a in v)
+            basis = [tuple((a - b[lead] * vv) % p for a, vv in zip(b, v)) for b in basis]
+            basis.append(v)
+            basis.sort(key=_lead)
+    return tuple(basis)
+
+
+def reference_from_vectors(vector_chains, n, p):
+    chain = []
+    seen = []
+    for vecs in vector_chains:
+        seen.extend(vecs)
+        sub = reference_span_basis(seen, p)
+        if not chain or sub != chain[-1]:
+            chain.append(sub)
+    return PartialFlag(tuple(chain), n, p)
+
+
+def reference_lrb_product(a, b):
+    chain = list(a.chain)
+    top = list(a.chain[-1]) if a.chain else []
+    for w in b.chain:
+        joined = reference_span_basis(top + list(w), a.p)
+        if not chain or joined != chain[-1]:
+            chain.append(joined)
+    return PartialFlag(tuple(chain), a.n, a.p)
+
+
+def reference_prefixes(flag):
+    return [reference_span_basis(flag.cols[:j], flag.p) for j in range(1, flag.n + 1)]
+
+
+def reference_entry_step(prefixes, v, p):
+    return next(j for j, sub in enumerate(prefixes, start=1) if not any(_reduce_vector(v, sub, p)))
+
+
+def reference_path_value(rates, p, flag):
+    n = flag.n
+    prefixes = reference_prefixes(flag)
+    step_weight = [F(0)] * (n + 1)
+    for line in enumerate_lines(n, p):
+        step_weight[reference_entry_step(prefixes, line.vector(n), p)] += line_weight(line, rates)
+    value = F(1)
+    for j in range(1, n + 1):
+        value *= step_weight[j]
+    stab = F(0)
+    for j in range(1, n):
+        stab += step_weight[j]
+        value /= 1 - stab
+    return value
+
+
+@pytest.mark.parametrize("n, p", [(3, 2), (2, 3)])
+def test_span_basis_matches_reference_on_every_short_list(n, p):
+    space = list(itertools.product(range(p), repeat=n))
+    for k in range(4):
+        for vectors in itertools.product(space, repeat=k):
+            assert span_basis(vectors, p) == reference_span_basis(vectors, p), vectors
+
+
+@st.composite
+def vector_lists(draw):
+    p = draw(st.sampled_from((2, 3, 5)))
+    n = draw(st.integers(1, 4))
+    vector = st.tuples(*[st.integers(0, p - 1)] * n)
+    return draw(st.lists(vector, max_size=6)), p
+
+
+@settings(max_examples=200, deadline=None)
+@given(vector_lists())
+def test_span_basis_matches_reference_on_random_lists(case):
+    vectors, p = case
+    assert span_basis(vectors, p) == reference_span_basis(vectors, p)
+
+
+def _normalized_rates(n, p):
+    """Distinct positive rates summing to 1, as the path method requires."""
+    return PermRates(p, tuple(F(2 * i, n * (n + 1)) for i in range(1, n + 1)))
+
+
+@pytest.mark.parametrize("n, p", [(2, 2), (3, 2), (4, 2), (3, 3), (3, 5)])
+def test_entry_step_is_the_first_prefix_holding_the_line(n, p):
+    # The path value depends only on how many lines of each lead index enter
+    # at each step, so it cannot tell some wrong entry steps from right ones.
+    for flag in enumerate_flags(n, p):
+        prefixes = reference_prefixes(flag)
+        for line in enumerate_lines(n, p):
+            v = line.vector(n)
+            assert _entry_step(flag, v) == reference_entry_step(prefixes, v, p), (flag, v)
+
+
+@pytest.mark.parametrize("n, p", [(1, 2), (2, 2), (3, 2), (4, 2), (3, 3), (3, 5)])
+def test_path_method_matches_reference_on_every_flag(n, p):
+    rates = _normalized_rates(n, p)
+    for flag in enumerate_flags(n, p):
+        assert rcayley_stationary(rates, p, flag) == reference_path_value(rates, p, flag), flag
+
+
+def _random_partial_flag(rng, n, p):
+    batches = [[tuple(rng.randrange(p) for _ in range(n)) for _ in range(rng.randint(1, 2))]]
+    for _ in range(rng.randint(0, n)):
+        batches.append([tuple(rng.randrange(p) for _ in range(n))])
+    flag = PartialFlag.from_vectors(batches, n, p)
+    assert flag == reference_from_vectors(batches, n, p), batches
+    return flag
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_from_vectors_and_lrb_product_match_reference_on_random_pairs(p):
+    rng = random.Random(900 + p)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        a = _random_partial_flag(rng, n, p)
+        b = _random_partial_flag(rng, n, p)
+        assert lrb_product(a, b) == reference_lrb_product(a, b), (a, b)
+
+
+def test_path_method_equals_closed_form_on_every_flag_n4_p3():
+    rates = generic_perm_rates(4, seed=4, p=3)
+    psi = stationary_flags_formula(rates, 3).normalized()
+    assert len(psi.states) == 2080
+    assert all(rcayley_stationary(rates, 3, f) == psi[f] for f in psi.states)
