@@ -162,12 +162,18 @@ def cmd_matrix(args) -> int:
     rates = _load_config(args)
     op = _build_operator(args, rates)
     states = [state_key(s) for s in op.states]
-    entries = [[format_rational(v) for v in row] for row in op.matrix.data]
+    cells = [["0"] * op.matrix.cols for _ in states]
+    for row, nonzeros in zip(cells, op.matrix.nonzeros):
+        for c, v in nonzeros.items():
+            row[c] = format_rational(v)
     if args.format == "json":
-        _emit(args, json.dumps({"states": states, "entries": entries}, indent=2))
+        # json.dumps(indent=2) with "entries": cells; rational strings need no escaping.
+        head = json.dumps({"states": states}, indent=2)[: -len("\n}")]
+        rows = ",\n".join('    [\n      "' + '",\n      "'.join(row) + '"\n    ]' for row in cells)
+        _emit(args, f'{head},\n  "entries": [\n{rows}\n  ]\n}}')
     else:
         lines = ["state," + ",".join(states)]
-        for s, row in zip(states, entries):
+        for s, row in zip(states, cells):
             lines.append(s + "," + ",".join(row))
         _emit(args, "\n".join(lines))
     return 0
@@ -203,10 +209,10 @@ def cmd_stationary(args) -> int:
             flags = enumerate_flags(rates.n, args.p)
             values = tuple(rcayley_stationary(rates, args.p, f) for f in flags)
             methods["semigroup"] = StationaryVector(tuple(flags), values)
-    agreement = len({m.values for m in methods.values()}) == 1
     if args.method != "all":
         _emit_vector(args, next(iter(methods.values())))
         return 0
+    agreement = len({m.values for m in methods.values()}) == 1
     payload = {name: vec.as_dict() for name, vec in methods.items()}
     payload["agree"] = agreement
     if args.format == "json":

@@ -4,13 +4,14 @@ Exact linear algebra over the rationals.
 Every scalar in this package is a `fractions.Fraction`, which is always stored
 reduced with a positive denominator.  `Matrix` is stored as sparse rows, one
 {col: value} dict of nonzeros per row, and is the exchange and equality type;
-`data` is a dense view for output.  The chain matrices are very sparse, and
-every operation touches only the nonzeros.  Every state-indexed matrix of the
-package (generators, weights, transition matrices, intertwiners) is assembled
-by `state_matrix` from one sparse row of (target, coeff) pairs per source
-state.  `shift` forms M - lambda I, and `scaled_integer_rows` gives D M as
-sparse integer rows for the common denominator D of M and a set of scalars,
-which the annihilation check works on.
+`data` is a dense view built on access.  The chain matrices are very sparse,
+and every operation touches only the nonzeros.  Every state-indexed matrix of
+the package (generators, weights, transition matrices, intertwiners) is
+assembled by `state_matrix` from one sparse row of (target, coeff) pairs per
+source state; int coefficients over a common denominator are summed as ints
+and divided once.  `shift` forms M - lambda I, and `scaled_integer_rows` gives
+D M as sparse integer rows for the common denominator D of M and a set of
+scalars, which the annihilation check works on.
 
 Elimination is fraction-free: rows are scaled to integers and reduced by
 cross-multiplication followed by a gcd division, so intermediate entries stay
@@ -157,14 +158,20 @@ def _accumulate(pairs):
     return {c: x for c, x in row.items() if x}
 
 
-def state_matrix(sources, targets, entries) -> Matrix:
+def state_matrix(sources, targets, entries, denominator=1) -> Matrix:
     """Matrix with rows indexed by `sources` and columns by `targets`; the
-    row of state s holds the (target, coeff) pairs of `entries(s)`, with
-    repeated targets added up and int coefficients made Fractions."""
+    row of state s holds the (target, coeff) pairs of `entries(s)` over
+    `denominator`, repeated targets added up first (ints as ints)."""
     index = {t: c for c, t in enumerate(targets)}
+    rows = (_accumulate((index[t], x) for t, x in entries(s)) for s in sources)
     return Matrix._from_nonzeros(
-        [_accumulate((index[t], Fraction(c)) for t, c in entries(s)) for s in sources], len(targets)
+        [{c: _over(x, denominator) for c, x in row.items()} for row in rows], len(targets)
     )
+
+
+def _over(x, denominator):
+    """x / denominator as a Fraction; a Fraction over 1 is kept as it is."""
+    return x if denominator == 1 and type(x) is Fraction else Fraction(x, denominator)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -185,8 +192,12 @@ def vec_mat(v, m: Matrix):
     """Row vector times matrix, exact; zeros of both factors are skipped."""
     if len(v) != m.rows:
         raise ValueError("dimension mismatch")
-    out = [_ZERO] * m.cols
-    for x, row in zip(v, m.nonzeros):
+    return _combine_rows(v, m.nonzeros, [_ZERO] * m.cols)
+
+
+def _combine_rows(v, rows, out):
+    """out + sum_j v[j] rows[j] for sparse {col: value} rows; zeros of v are skipped."""
+    for x, row in zip(v, rows):
         if x:
             for k, y in row.items():
                 out[k] += x * y
@@ -209,15 +220,21 @@ def scaled_integer_rows(m: Matrix, scalars=()):
     return scale, rows
 
 
+def integer_numerators(values):
+    """(d, ints): d is the lcm of the denominators of the sequence `values`,
+    and ints are the values times d."""
+    d = lcm(*(x.denominator for x in values))
+    return d, [x.numerator * (d // x.denominator) for x in values]
+
+
 def _integer_rows(m: Matrix):
     """Dense int rows: each row scaled by the lcm of its denominators
     (preserves row space, rank and right null space), common factors stripped."""
     rows = []
     for row in m.nonzeros:
-        scale = lcm(*(x.denominator for x in row.values()))
         ints = [0] * m.cols
-        for c, x in row.items():
-            ints[c] = x.numerator * (scale // x.denominator)
+        for c, x in zip(row, integer_numerators(row.values())[1]):
+            ints[c] = x
         g = gcd(*ints)
         rows.append([v // g for v in ints] if g > 1 else ints)
     return rows

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinatorics import perm_states
-from .exact import state_matrix
+from .exact import integer_numerators, state_matrix
 from .hecke_chains import LinearOperator, PermRates, _shuffle_operator
 
 __all__ = [
@@ -244,12 +244,12 @@ def transition_matrix_flags(rates: PermRates, p: int) -> LinearOperator:
     n = rates.n
     states = tuple(enumerate_flags(n, p))
     lines = enumerate_lines(n, p)
-    weights = [line_weight(line, rates) for line in lines]
+    d, scaled = integer_numerators([line_weight(line, rates) for line in lines])
 
     def row(flag):
-        return ((insert_line(flag, line), w) for line, w in zip(lines, weights))
+        return ((insert_line(flag, line), w) for line, w in zip(lines, scaled))
 
-    return LinearOperator(states, state_matrix(states, states, row))
+    return LinearOperator(states, state_matrix(states, states, row, d))
 
 
 def transition_matrix_flags_hecke(rates: PermRates, p: int) -> LinearOperator:
@@ -260,7 +260,7 @@ def transition_matrix_flags_hecke(rates: PermRates, p: int) -> LinearOperator:
     n = rates.n
     states = tuple(enumerate_flags(n, p))
     table = [None] + [{f: _act_coset(f, i) for f in states} for i in range(1, n)]
-    matrix = _shuffle_operator(states, lambda f, i: table[i][f], n, _flag_weight(rates))
+    matrix = _shuffle_operator(states, lambda f, i: table[i][f], n, 1, _flag_weight(rates))
     return LinearOperator(states, matrix)
 
 
@@ -339,9 +339,11 @@ def rcayley_stationary(rates: PermRates, p: int, flag: FlagRep) -> Fraction:
     if rates.total() != 1:
         raise ValueError("the path method requires rates summing to 1")
     n = flag.n
-    step_weight = [Fraction(0)] * (n + 1)
+    counts = [[0] * (n + 1) for _ in range(n + 1)]
     for line in enumerate_lines(n, p):
-        step_weight[_entry_step(flag, line.vector(n))] += line_weight(line, rates)
+        counts[_entry_step(flag, line.vector(n))][line.lead] += 1
+    ys = [rates.y(i) for i in range(1, n + 1)]
+    step_weight = [sum((c * y for c, y in zip(row[1:], ys) if c), Fraction(0)) for row in counts]
     value = Fraction(1)
     for j in range(1, n + 1):
         value *= step_weight[j]

@@ -18,16 +18,18 @@ and the full shuffle operator is sum_{i=1}^{n} T_{i-1} ... T_1 X, where the
 i = 1 summand is the identity and X is the diagonal weight operator.  At
 q = 1 this is the classical move-to-front chain.
 
-Every chain supplies only its states, its generator action act(s, i) (the
-(target, coeff) pairs of s . T_i) and its weight; `exact.state_matrix`
+The structure constants of T_i lie in Z[q].  With q = qn/qd, every chain
+supplies only its states, its integer generator action act(s, i) (the
+(target, coeff) pairs of s . (qd T_i)) and its weight; `exact.state_matrix`
 assembles the matrix from sparse rows.  `_shuffle_operator` builds the
 transition matrix row by row from the action, with no matrix products:
-Horner's rule w <- s + w . T_i for i = n-1, ..., 1, on a sparse
-{state: coeff} dict w, gives s . (1 + T_1 + T_2 T_1 + ... + T_{n-1} ... T_1),
-and target t is then scaled by its weight.  The word chain uses it with
+Horner's rule w <- qd^(n-i) s + w . (qd T_i) for i = n-1, ..., 1, on a
+sparse {state: int} dict w, gives qd^(n-1) s . (1 + T_1 + T_2 T_1 + ... +
+T_{n-1} ... T_1).  Each target is scaled by its weight's numerator over the
+weights' lcm d, and divided once by qd^(n-1) d.  The word chain uses it with
 `_act` and the flag chain (`flags.transition_matrix_flags_hecke`) with the
-coset action.  `_shuffle_sum` keeps the product form, a sum of products of
-generator matrices, as an independent oracle.
+coset action (qd = 1).  `_shuffle_sum` keeps the product form, a sum of
+products of generator matrices, as an independent oracle.
 """
 
 from dataclasses import dataclass
@@ -35,7 +37,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .combinatorics import q_int, word_states
-from .exact import Matrix, mat_mul, state_matrix
+from .exact import Matrix, integer_numerators, mat_mul, state_matrix
 
 __all__ = [
     "PermRates",
@@ -139,27 +141,19 @@ class LinearOperator:
         return {s: i for i, s in enumerate(self.states)}
 
 
-def _swap(seq, i):
-    """Exchange entries at 1-based positions i, i+1."""
-    out = list(seq)
-    out[i - 1], out[i] = out[i], out[i - 1]
-    return tuple(out)
-
-
-_ONE = Fraction(1)
-
-
-def _act(s, i, q):
-    """s . T_i as (target, coeff) pairs; q is a Fraction."""
-    swapped = _swap(s, i)
+def _act(s, i, qn, qd):
+    """s . (qd T_i) as (target, int coeff) pairs, for q = qn/qd; T_i swaps
+    the entries at 1-based positions i, i+1."""
+    swapped = s[: i - 1] + (s[i], s[i - 1]) + s[i + 1 :]
     if s[i] <= s[i - 1]:
-        return ((swapped, q),)
-    return ((swapped, _ONE), (s, q - 1))
+        return ((swapped, qn),)
+    return ((swapped, qd), (s, qn - qd))
 
 
 def _generator_matrix(states, i, q):
     q = Fraction(q)
-    return state_matrix(states, states, lambda s: _act(s, i, q))
+    qn, qd = q.numerator, q.denominator
+    return state_matrix(states, states, lambda s: _act(s, i, qn, qd), qd)
 
 
 def hecke_generator_perm(i: int, n: int, q) -> LinearOperator:
@@ -206,30 +200,33 @@ def transition_matrix_perm(rates: PermRates) -> LinearOperator:
     return transition_matrix_word(rates)
 
 
-def _shuffle_operator(states, act, n, weight):
-    """Matrix of sum_{i=1}^{n} T_{i-1} ... T_1 X from the action act(s, i)
-    and the diagonal weight(t) of X, one sparse row per state."""
+def _shuffle_operator(states, act, n, qd, weight):
+    """Matrix of sum_{i=1}^{n} T_{i-1} ... T_1 X from the integer action
+    act(s, i) of qd T_i and the diagonal weight(t) of X, one sparse row per
+    state, by Horner's rule on ints (see the module docstring)."""
+    d, numerators = integer_numerators([weight(t) for t in states])
+    scaled = dict(zip(states, numerators))
 
     def row(s):
-        w = {s: _ONE}
+        w = {s: 1}
         for i in range(n - 1, 0, -1):
-            nxt = {s: _ONE}
+            nxt = {s: qd ** (n - i)}
             for u, a in w.items():
                 for t, c in act(u, i):
                     if c:
                         nxt[t] = nxt.get(t, 0) + a * c
             w = nxt
-        return ((t, a * weight(t)) for t, a in w.items())
+        return ((t, a * scaled[t]) for t, a in w.items())
 
-    return state_matrix(states, states, row)
+    return state_matrix(states, states, row, qd ** (n - 1) * d)
 
 
 def transition_matrix_word(rates: WordRates) -> LinearOperator:
     """Transition matrix of the weighted shuffle on words of content m."""
-    q = rates.q
+    qn, qd = rates.q.numerator, rates.q.denominator
     states = tuple(word_states(rates.m))
     ybar = [rates.ybar(j) for j in range(1, rates.letters + 1)]
     matrix = _shuffle_operator(
-        states, lambda u, i: _act(u, i, q), rates.n, lambda t: ybar[t[0] - 1]
+        states, lambda u, i: _act(u, i, qn, qd), rates.n, qd, lambda t: ybar[t[0] - 1]
     )
     return LinearOperator(states, matrix)

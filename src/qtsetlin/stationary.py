@@ -20,7 +20,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .combinatorics import inv, perm_states, q_factorial, state_key, word_states
-from .exact import format_rational, left_null_space, shift, vec_mat
+from .exact import _combine_rows, format_rational, integer_numerators, left_null_space
+from .exact import scaled_integer_rows, shift
 from .flags import _check_rates, coset_to_perm, enumerate_flags
 from .hecke_chains import LinearOperator, PermRates, WordRates
 
@@ -64,11 +65,14 @@ class StationaryVector:
         return StationaryVector(self.states, tuple(v / s for v in self.values))
 
     def is_left_eigenvector(self, op: LinearOperator, eigenvalue) -> bool:
-        """Exact check of v . M == eigenvalue * v."""
+        """Exact check of v . M == eigenvalue * v on integers, as
+        (L v) . (D M) == (D eigenvalue) (L v) for the common denominators."""
         if self.states != op.states:
             raise ValueError("state index mismatch")
-        lam = Fraction(eigenvalue)
-        return vec_mat(self.values, op.matrix) == [lam * v for v in self.values]
+        scale, rows = scaled_integer_rows(op.matrix, [eigenvalue])
+        lam = int(Fraction(eigenvalue) * scale)
+        ints = integer_numerators(self.values)[1]
+        return _combine_rows(ints, rows, [0] * len(ints)) == [lam * v for v in ints]
 
     def as_dict(self):
         return {state_key(s): format_rational(v) for s, v in zip(self.states, self.values)}

@@ -3,9 +3,10 @@
 Each case runs one `qtsetlin` command in-process and compares its stdout with
 the file stored under tests/golden/.  The cases are every command in the
 README plus the permutation-chain matrix, all-method stationary vector and
-verified spectrum at n = 4, q = 5/2, and the all-method stationary vectors
+verified spectrum at n = 4, q = 5/2, the all-method stationary vectors
 of perm n = 5 and word (2, 1, 2) at q = -3/7, where the closed-form factors
-take both signs.  Refactors must leave these bytes alone.
+take both signs, the word (2, 1, 2) matrix at q = -3/7 and the flag n = 3
+matrix as CSV.  Refactors must leave these bytes alone.
 
 To regenerate after an intended output change:
 
@@ -39,6 +40,8 @@ CASES = {
     "perm_n4_spectrum_verify": "spectrum --space perm --n 4 --q 5/2 --verify",
     "perm_n5_stationary_all_negq": "stationary --space perm --n 5 --q=-3/7 --method all",
     "word_m212_stationary_all_negq": "stationary --space word --m 2,1,2 --q=-3/7 --method all",
+    "word_m212_matrix_negq": "matrix --space word --m 2,1,2 --q=-3/7",
+    "flag_n3_matrix_csv": "matrix --space flag --n 3 --p 2 --format csv",
 }
 
 
