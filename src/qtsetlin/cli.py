@@ -318,9 +318,11 @@ def cmd_verify(args) -> int:
         p_list = tuple(int(v) for v in args.p.split(",")) if args.p else (2, 3)
     except ValueError as e:
         raise ConfigError(f"bad --p {args.p!r}: {e}")
-    for p in p_list:
+    for k, p in enumerate(p_list):
         if not is_prime(p):
             raise ConfigError(f"--p entry {p} is not prime")
+        if p in p_list[:k]:
+            raise ConfigError(f"--p lists the prime {p} twice; give each prime once")
     checks = suites.run_suite(args.suite, n_max=n_max, p_list=p_list, seed=args.seed)
     if not checks:
         raise ConfigError(f"suite {args.suite!r} has no checks at --n-max {n_max}")

@@ -20,6 +20,7 @@ import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .combinatorics import perm_states
 from .exact import integer_numerators, state_matrix
@@ -189,6 +190,13 @@ def enumerate_flags(n: int, p: int):
     return out
 
 
+# Memo keyed by (n, p): the suites build each flag space they reach
+# several times, at different rates.
+@lru_cache(maxsize=8)
+def _flag_states(n, p):
+    return tuple(enumerate_flags(n, p))
+
+
 def insert_line(flag: FlagRep, line: Line) -> FlagRep:
     """Prepend the line as a new first column and re-canonicalize; the
     dependent column drops out, leaving the flag with the line in front."""
@@ -197,6 +205,18 @@ def insert_line(flag: FlagRep, line: Line) -> FlagRep:
     if result.n != flag.n:
         raise ValueError("line insertion lost a dimension")
     return result
+
+
+@lru_cache(maxsize=8)
+def _insertion_table(n, p):
+    """(flags, lines, targets): targets[f][l] is the index of the flag that
+    inserting line l in front of flag f gives.  It does not depend on the
+    rates."""
+    states = _flag_states(n, p)
+    lines = enumerate_lines(n, p)
+    index = {f: k for k, f in enumerate(states)}
+    targets = [tuple(index[insert_line(f, line)] for line in lines) for f in states]
+    return states, lines, targets
 
 
 def _act_coset(flag: FlagRep, i: int):
@@ -213,7 +233,7 @@ def hecke_generator_coset(i: int, n: int, p: int) -> LinearOperator:
     _check_prime(p)
     if not 1 <= i <= n - 1:
         raise ValueError(f"generator index {i} out of range for n={n}")
-    states = tuple(enumerate_flags(n, p))
+    states = _flag_states(n, p)
     return LinearOperator(states, state_matrix(states, states, lambda f: _act_coset(f, i)))
 
 
@@ -226,7 +246,7 @@ def _flag_weight(rates: PermRates):
 def weight_op_flags(rates: PermRates, p: int) -> LinearOperator:
     """Diagonal operator scaling every coset by its weight."""
     _check_rates(rates, p)
-    states = tuple(enumerate_flags(rates.n, p))
+    states = _flag_states(rates.n, p)
     weight = _flag_weight(rates)
     return LinearOperator(states, state_matrix(states, states, lambda f: ((f, weight(f)),)))
 
@@ -241,15 +261,11 @@ def transition_matrix_flags(rates: PermRates, p: int) -> LinearOperator:
     """Transition matrix on flags: row F adds, for every line L, the weight
     of L at the column obtained by inserting L in front of F."""
     _check_rates(rates, p)
-    n = rates.n
-    states = tuple(enumerate_flags(n, p))
-    lines = enumerate_lines(n, p)
+    states, lines, targets = _insertion_table(rates.n, p)
     d, scaled = integer_numerators([line_weight(line, rates) for line in lines])
-
-    def row(flag):
-        return ((insert_line(flag, line), w) for line, w in zip(lines, scaled))
-
-    return LinearOperator(states, state_matrix(states, states, row, d))
+    index = range(len(states))
+    matrix = state_matrix(index, index, lambda f: zip(targets[f], scaled), d)
+    return LinearOperator(states, matrix)
 
 
 def transition_matrix_flags_hecke(rates: PermRates, p: int) -> LinearOperator:
@@ -258,7 +274,7 @@ def transition_matrix_flags_hecke(rates: PermRates, p: int) -> LinearOperator:
     of line insertion, so it cross-checks transition_matrix_flags."""
     _check_rates(rates, p)
     n = rates.n
-    states = tuple(enumerate_flags(n, p))
+    states = _flag_states(n, p)
     table = [None] + [{f: _act_coset(f, i) for f in states} for i in range(1, n)]
     matrix = _shuffle_operator(states, lambda f, i: table[i][f], n, 1, _flag_weight(rates))
     return LinearOperator(states, matrix)

@@ -25,7 +25,7 @@ from .combinatorics import (
     word_states,
 )
 from .exact import Matrix, mat_mul, state_matrix
-from .flags import coset_to_perm, enumerate_flags, transition_matrix_flags
+from .flags import _flag_states, coset_to_perm, transition_matrix_flags
 from .hecke_chains import (
     PermRates,
     WordRates,
@@ -57,12 +57,7 @@ class IntertwinerMatrix:
     kind: str  # "projection" | "inclusion"
 
 
-# One-entry memos: the two flag diagrams of one (rates, p) build these once.
-@lru_cache(maxsize=1)
-def _flag_states(n, p):
-    return tuple(enumerate_flags(n, p))
-
-
+# One-entry memo: the two flag diagrams of one (rates, p) build it once.
 @lru_cache(maxsize=1)
 def _flag_matrix(rates, p):
     return transition_matrix_flags(rates, p).matrix

@@ -6,23 +6,26 @@ The permutation chain is the word chain at content (1^n), whose upper sets
 are the 0/1 indicators of subsets of [n]; its catalog keeps only its own
 labels (subsets) and multiplicities.
 
-Characteristic polynomials are never expanded: a predicted multiplicity is
-checked as the exact nullity of (M - lambda I), and diagonalizability as the
-vanishing of the product of (M - lambda I) over the distinct catalog values.
-Entries whose values collide (non-generic rates) are merged, multiplicities
-added, before checking.
+Characteristic polynomials are never expanded.  Entries whose values
+collide (non-generic rates) are merged, multiplicities added, before
+checking.  One exact pass over Q proves every predicted multiplicity: the
+product of (M - lambda I) over the distinct values vanishes, so M is
+diagonalizable with its spectrum among them, and the traces of the partial
+products fix the multiplicities (see `_certified`).  Only when that
+certificate fails is each nullity computed by fraction-free elimination
+(`exact.rank_nullity`), so the report still names the wrong value.
 
-The nullity comes from fraction-free elimination (`exact.rank_nullity`).
-The product runs on integers: D is the lcm of the denominators of M and of
+The pass runs on integers: D is the lcm of the denominators of M and of
 the catalog values, so D M has integer rows and each D lambda is an integer.
 It is applied to one unit row vector at a time, on the sparse integer rows
-of D M, and a row stops as soon as it vanishes.  Neither check is modular or
+of D M, and a row stops as soon as it vanishes.  Nothing is modular or
 randomized.
 """
 
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd
 
@@ -33,7 +36,7 @@ from .combinatorics import (
     q_derangement,
     q_int,
 )
-from .exact import format_rational, rank_nullity, scaled_integer_rows, shift
+from .exact import Matrix, format_rational, rank_nullity, scaled_integer_rows, shift
 from .flags import _check_rates
 from .hecke_chains import LinearOperator, PermRates, WordRates
 
@@ -163,48 +166,105 @@ class MultiplicityReport:
 
 
 def verify_multiplicities(op: LinearOperator, catalog) -> MultiplicityReport:
-    """Exact nullity of (M - lambda I) against the predicted multiplicity for
-    every merged catalog value, plus the total-dimension check."""
+    """The nullity of (M - lambda I) against the predicted multiplicity for
+    every merged catalog value, plus the total-dimension check.
+
+    The nullities are proved without elimination when the spectral
+    certificate holds (see `_certified`); otherwise each one is computed by
+    `rank_nullity`, so the report names the values whose nullity is wrong.
+    """
     m = op.matrix
     merged = merge_catalog(catalog)
-    rows = []
-    for entry in merged:
-        _, nullity = rank_nullity(shift(m, entry.value))
-        rows.append(
-            (entry.label, entry.value, entry.multiplicity, nullity, nullity == entry.multiplicity)
-        )
+    if _certified(m, merged):
+        nullities = [e.multiplicity for e in merged]
+    else:
+        nullities = [rank_nullity(shift(m, e.value))[1] for e in merged]
+    rows = tuple(
+        (e.label, e.value, e.multiplicity, nullity, nullity == e.multiplicity)
+        for e, nullity in zip(merged, nullities)
+    )
     total = sum(e.multiplicity for e in merged)
-    return MultiplicityReport(tuple(rows), m.rows, total)
+    return MultiplicityReport(rows, m.rows, total)
 
 
 def verify_annihilation(op: LinearOperator, catalog) -> bool:
     """True iff the product of (M - lambda I) over distinct catalog values is
-    exactly zero (diagonalizability with the cataloged spectrum).
+    exactly zero (diagonalizability with the cataloged spectrum)."""
+    values = tuple(dict.fromkeys(e.value for e in catalog))
+    return _spectral_pass(op.matrix, values) is not None
+
+
+def _certified(m, merged) -> bool:
+    """True iff the annihilation product over the merged values vanishes and
+    every trace identity holds, which proves each predicted multiplicity.
+
+    With distinct values l_1..l_k and the product of (M - l_i I) zero, M is
+    diagonalizable with eigenvalues among the l_i, each nullity is the
+    algebraic multiplicity a_j, and for t = 0..k-1
+
+        tr prod_{i<t} (M - l_i I) = sum_j a_j prod_{i<t} (l_j - l_i).
+
+    Term j vanishes for j < t and not for j = t, so the k identities are a
+    triangular system in the a_j with a nonzero diagonal: they hold for the
+    predicted multiplicities exactly when those are the a_j.  Both sides
+    are taken on D M and the D l_i, which scales identity t by D^t.
+    """
+    result = _spectral_pass(m, tuple(e.value for e in merged))
+    if result is None:
+        return False
+    scaled, traces = result
+    expected = [0] * len(scaled)
+    for lam, e in zip(scaled, merged):
+        term = e.multiplicity
+        for t, other in enumerate(scaled):
+            if not term:
+                break
+            expected[t] += term
+            term *= lam - other
+    return traces == expected
+
+
+# One-entry memo: the suites and `spectrum --verify` call both checks on one
+# (matrix, catalog) pair.
+@lru_cache(maxsize=1)
+def _spectral_pass(m: Matrix, values: tuple):
+    """(D l_i, traces) when the product of (M - l_i I) over `values` is zero,
+    else None; traces[t] is the trace of prod_{i<t} (D M - D l_i I).
 
     Row s of the product is e_s times the factors, one after the other; on
-    the integer rows of D M a factor is w <- w (D M) - (D lambda) w, and
-    dividing w by the gcd of its entries keeps it exactly as zero as it was.
+    the integer rows of D M a factor is w <- w (D M) - (D l) w.  Dividing w
+    by the gcd of its entries keeps it exactly as zero as it was, and the
+    product of the gcds divided out so far restores its diagonal entry w[s]
+    for the traces.  A row that vanishes stops and adds nothing to the
+    later traces.
     """
-    m = op.matrix
-    values = list(dict.fromkeys(e.value for e in catalog))
     scale, rows = scaled_integer_rows(m, values)
-    scaled_values = [int(v * scale) for v in values]
-    for s in range(m.rows):
-        w = {s: 1}
-        for lam in scaled_values:
-            nxt = {j: -lam * a for j, a in w.items()}
-            for j, a in w.items():
-                for k, x in rows[j].items():
-                    nxt[k] = nxt.get(k, 0) + a * x
-            w = {k: x for k, x in nxt.items() if x}
-            if not w:
+    rows = [tuple(row.items()) for row in rows]
+    scaled = [int(v * scale) for v in values]
+    traces = [0] * len(scaled)
+    size = m.rows
+    for s in range(size):
+        w = [0] * size
+        w[s] = 1
+        divided = 1
+        for t, lam in enumerate(scaled):
+            if w[s]:
+                traces[t] += w[s] * divided
+            nxt = [-lam * a for a in w]
+            for a, row in zip(w, rows):
+                if a:
+                    for k, x in row:
+                        nxt[k] += a * x
+            g = gcd(*nxt)
+            if not g:
                 break
-            g = gcd(*w.values())
             if g > 1:
-                w = {k: x // g for k, x in w.items()}
-        if w:
-            return False
-    return True
+                nxt = [x // g for x in nxt]
+                divided *= g
+            w = nxt
+        else:
+            return None
+    return scaled, traces
 
 
 def _random_positive_rationals(count, rng):

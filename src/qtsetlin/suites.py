@@ -75,7 +75,8 @@ SUITES = (
 )
 
 FLAG_STATE_CAP = 400
-FLAG_NULLITY_CAP = 60
+# The stationary suite runs the path method up to this many flags.
+FLAG_PATH_CAP = 60
 
 
 def compositions(n):
@@ -183,7 +184,7 @@ def suite_stationary(n_max, p_list, seed):
             psi = stationary_flags_formula(rates, p)
             ok = psi.is_left_eigenvector(op, rates.total()) and psi.total() == 1
             ok = ok and stationary_oracle(op, rates.total()).values == psi.values
-            if q_factorial(n, p) <= FLAG_NULLITY_CAP:
+            if q_factorial(n, p) <= FLAG_PATH_CAP:
                 ok = ok and all(
                     rcayley_stationary(rates, p, f) == psi[f] for f in op.states
                 )
@@ -214,7 +215,7 @@ def suite_spectra(n_max, p_list, seed):
             checks.append((f"word m={m}: nullities match poset-derangement multiplicities", rep.all_pass))
     for p in p_list:
         for n in range(2, n_max + 1):
-            if q_factorial(n, p) > FLAG_NULLITY_CAP:
+            if q_factorial(n, p) > FLAG_STATE_CAP:
                 continue
             rates = generic_perm_rates(n, seed=seed + n, p=p)
             op = transition_matrix_flags(rates, p)

@@ -185,6 +185,15 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "lumping", "--n-max", "3", "--p", "2")
         assert code == 0
 
+    def test_spectra_suite_reaches_flag_spaces_past_60_states(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "spectra", "--n-max", "2", "--p", "59,61")
+        assert code == 0
+        flag_lines = [line.split() for line in out.splitlines() if " flag " in line]
+        assert [words[:4] for words in flag_lines] == [
+            ["PASS", "flag", "n=2", "p=59:"],
+            ["PASS", "flag", "n=2", "p=61:"],
+        ]
+
 
 class TestConfigErrors:
     def test_nonprime_p(self, capsys):
@@ -257,6 +266,8 @@ class TestConfigErrors:
             "lump-check --m 2,1 --q 2 --rates 1/3,2/3 --seed 2",
             "verify --suite matrix --n-max 1",
             "verify --suite matrix --n-max 40",
+            "verify --suite hecke --n-max 2 --p 2,2",
+            "verify --suite spectra --n-max 2 --p 3,2,3",
         ],
     )
     def test_bad_input_exit_2_without_traceback(self, capsys, argv):
@@ -293,6 +304,13 @@ class TestConfigErrors:
         code, _, err = run(capsys, "verify", "--suite", "hecke", "--n-max", "2", "--p", value)
         assert code == 2
         assert f"bad --p {value!r}" in err
+
+    @pytest.mark.parametrize("value, prime", [("2,2", 2), ("3,2,3", 3)])
+    def test_repeated_p_is_named(self, capsys, value, prime):
+        code, out, err = run(capsys, "verify", "--suite", "hecke", "--n-max", "2", "--p", value)
+        assert code == 2
+        assert out == ""
+        assert f"--p lists the prime {prime} twice" in err
 
     def test_word_n_equal_to_content_size_is_accepted(self, capsys):
         argv = ["matrix", "--space", "word", "--m", "1,2", "--q", "2"]

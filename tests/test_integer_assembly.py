@@ -16,6 +16,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from qtsetlin import flags
 from qtsetlin.cli import main
 from qtsetlin.combinatorics import state_key, word_states
 from qtsetlin.exact import format_rational, state_matrix
@@ -123,6 +124,29 @@ def test_flag_chains_match_fraction_assembly(n, p):
     assert_rows(line_insertion, reference_line_insertion_rows(states, rates, p))
     hecke = reference_shuffle_rows(states, _act_coset, n, _flag_weight(rates))
     assert_rows(transition_matrix_flags_hecke(rates, p).matrix, hecke)
+
+
+def test_flag_insertion_table_is_built_once_per_space(monkeypatch):
+    """The target of each (flag, line) insertion does not depend on the
+    rates, so a second set of rates reuses the table: no insertion runs,
+    and the matrix still matches the reference."""
+    calls = []
+    original = flags.insert_line
+
+    def counting(flag, line):
+        calls.append(1)
+        return original(flag, line)
+
+    monkeypatch.setattr(flags, "insert_line", counting)
+    flags._insertion_table.cache_clear()
+    n, p = 3, 3
+    transition_matrix_flags(flag_rates(n, p), p)
+    assert len(calls) == len(enumerate_flags(n, p)) * len(enumerate_lines(n, p))
+    other = PermRates(p, [F(5, 11), F(1, 4), F(2, 9)])
+    states = tuple(enumerate_flags(n, p))
+    del calls[:]
+    assert_rows(transition_matrix_flags(other, p).matrix, reference_line_insertion_rows(states, other, p))
+    assert not calls
 
 
 def test_state_matrix_adds_ints_and_divides_once():

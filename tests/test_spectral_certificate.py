@@ -3,6 +3,11 @@
 The reference is the plain statement of both checks: the nullity of the
 Fraction matrix M - lambda I by `rank_nullity`, and the dense product of the
 M - lambda I over the distinct catalog values compared with zero.
+
+`verify_multiplicities` proves the nullities by annihilation plus the trace
+identities and runs elimination only when that certificate fails; the cost
+guard below makes `rank_nullity` raise to show that a passing certificate
+never reaches it.
 """
 
 from fractions import Fraction as F
@@ -11,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qtsetlin.spectra as spectra
 from qtsetlin.exact import Matrix, mat_mul, rank_nullity
 from qtsetlin.flags import transition_matrix_flags
 from qtsetlin.hecke_chains import (
@@ -91,6 +97,72 @@ def test_chain_certificate_matches_reference(kind, arg):
     assert verify_annihilation(op, catalog)
 
 
+def no_elimination(monkeypatch):
+    def refuse(m):
+        raise AssertionError("rank_nullity ran although the certificate holds")
+
+    monkeypatch.setattr(spectra, "rank_nullity", refuse)
+
+
+@pytest.mark.parametrize("kind,arg", CHAINS, ids=[f"{k}-{a}" for k, a in CHAINS])
+def test_certificate_alone_proves_every_chain(kind, arg, monkeypatch):
+    op, catalog = chain(kind, arg)
+    expected = reference_nullities(op.matrix, catalog)
+    no_elimination(monkeypatch)
+    report = verify_multiplicities(op, catalog)
+    assert [computed for *_, computed, _ in report.entries] == expected
+    assert report.all_pass
+
+
+def counted_elimination(monkeypatch):
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return rank_nullity(m)
+
+    monkeypatch.setattr(spectra, "rank_nullity", counting)
+    return calls
+
+
+def assert_rejected_with_nullities(op, catalog, monkeypatch):
+    """The report fails and carries the nullities of elimination, one
+    `rank_nullity` per merged value."""
+    calls = counted_elimination(monkeypatch)
+    report = assert_agrees(op, catalog)
+    assert not report.all_pass
+    assert len(calls) == len(merge_catalog(catalog))
+    return report
+
+
+FAILING_CHAINS = [("perm", 4), ("word", (2, 1, 1)), ("flags", (3, 2))]
+
+
+@pytest.mark.parametrize("kind,arg", FAILING_CHAINS, ids=[f"{k}-{a}" for k, a in FAILING_CHAINS])
+@pytest.mark.parametrize("shift", [1, -1])
+def test_moved_multiplicities_with_the_same_sum_are_rejected(kind, arg, shift, monkeypatch):
+    op, catalog = chain(kind, arg)
+    merged = merge_catalog(catalog)
+    up, down = [e for e in merged if e.multiplicity > 0][:2]
+    moved = {up.value: shift, down.value: -shift}
+    wrong = [EigenEntry(e.label, e.value, e.multiplicity + moved.get(e.value, 0)) for e in merged]
+    assert sum(e.multiplicity for e in wrong) == op.matrix.rows
+    report = assert_rejected_with_nullities(op, wrong, monkeypatch)
+    assert report.dimension_ok
+    failed = {value for _, value, _, _, ok in report.entries if not ok}
+    assert failed == set(moved)
+
+
+@pytest.mark.parametrize("kind,arg", FAILING_CHAINS, ids=[f"{k}-{a}" for k, a in FAILING_CHAINS])
+def test_dropped_value_is_rejected(kind, arg, monkeypatch):
+    op, catalog = chain(kind, arg)
+    drop = next(e for e in merge_catalog(catalog) if e.multiplicity > 0)
+    kept = [e for e in catalog if e.value != drop.value]
+    report = assert_rejected_with_nullities(op, kept, monkeypatch)
+    assert not report.dimension_ok
+    assert not verify_annihilation(op, kept)
+
+
 def test_missing_value_breaks_chain_annihilation():
     rates = generic_perm_rates(4, seed=4)
     op = transition_matrix_perm(rates)
@@ -160,7 +232,9 @@ def test_planted_diagonalizable_spectrum(case):
 @given(planted(jordan=True))
 def test_planted_jordan_block_is_rejected(case):
     op, catalog, _ = case
-    assert_agrees(op, catalog)
+    report = assert_agrees(op, catalog)
+    assert not report.all_pass
+    assert report.dimension_ok
     assert not verify_annihilation(op, catalog)
 
 
@@ -170,5 +244,6 @@ def test_planted_value_removed_is_rejected(case, data):
     op, catalog, diag = case
     drop = data.draw(st.sampled_from(sorted(set(diag))))
     kept = [e for e in catalog if e.value != drop]
-    assert_agrees(op, kept)
+    report = assert_agrees(op, kept)
+    assert not report.all_pass
     assert not verify_annihilation(op, kept)
