@@ -21,6 +21,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
 from .combinatorics import perm_states
 from .exact import integer_numerators, state_matrix
@@ -270,13 +271,11 @@ def transition_matrix_flags(rates: PermRates, p: int) -> LinearOperator:
 
 def transition_matrix_flags_hecke(rates: PermRates, p: int) -> LinearOperator:
     """Same operator assembled from the Hecke generators and the diagonal
-    weight, with the coset action tabulated once per generator; independent
-    of line insertion, so it cross-checks transition_matrix_flags."""
+    weight; independent of line insertion, so it cross-checks
+    transition_matrix_flags."""
     _check_rates(rates, p)
-    n = rates.n
-    states = _flag_states(n, p)
-    table = [None] + [{f: _act_coset(f, i) for f in states} for i in range(1, n)]
-    matrix = _shuffle_operator(states, lambda f, i: table[i][f], n, 1, _flag_weight(rates))
+    states = _flag_states(rates.n, p)
+    matrix = _shuffle_operator(states, _act_coset, rates.n, 1, _flag_weight(rates))
     return LinearOperator(states, matrix)
 
 
@@ -342,6 +341,12 @@ def _entry_step(flag: FlagRep, v) -> int:
     return step
 
 
+@lru_cache(maxsize=8)
+def _line_vectors(n, p):
+    """(lead, vector) of every line, in `enumerate_lines` order."""
+    return tuple((line.lead, line.vector(n)) for line in enumerate_lines(n, p))
+
+
 def rcayley_stationary(rates: PermRates, p: int, flag: FlagRep) -> Fraction:
     """Stationary mass of a complete flag via transition-edge paths in the
     right Cayley graph of the partial-flag semigroup.
@@ -350,24 +355,24 @@ def rcayley_stationary(rates: PermRates, p: int, flag: FlagRep) -> Fraction:
     so parallel edges are grouped per step: the numerator collects the lines
     first contained at each step, the denominator the stabilizing lines.
     Requires the rates to sum to 1 and a canonical flag.
+
+    The line weights y_i are summed as integers over their lcm D: with sw_j
+    the weight entering at step j times D and stab_j = sw_1 + ... + sw_j,
+    the value is prod_j sw_j * D^(n-1) / (D^n * prod_{j<n} (D - stab_j)).
     """
     _check_rates(rates, p)
     if rates.total() != 1:
         raise ValueError("the path method requires rates summing to 1")
     n = flag.n
-    counts = [[0] * (n + 1) for _ in range(n + 1)]
-    for line in enumerate_lines(n, p):
-        counts[_entry_step(flag, line.vector(n))][line.lead] += 1
-    ys = [rates.y(i) for i in range(1, n + 1)]
-    step_weight = [sum((c * y for c, y in zip(row[1:], ys) if c), Fraction(0)) for row in counts]
-    value = Fraction(1)
-    for j in range(1, n + 1):
-        value *= step_weight[j]
-    stab = Fraction(0)
+    scale, ys = integer_numerators([rates.y(i) for i in range(1, n + 1)])
+    step_weight = [0] * (n + 1)
+    for lead, v in _line_vectors(n, p):
+        step_weight[_entry_step(flag, v)] += ys[lead - 1]
+    den = scale**n
+    stab = 0
     for j in range(1, n):
         stab += step_weight[j]
-        denom = 1 - stab
-        if denom == 0:
+        if stab == scale:
             raise ValueError(f"stabilizer weight of prefix {j} reaches 1; path method undefined")
-        value /= denom
-    return value
+        den *= scale - stab
+    return Fraction(scale ** (n - 1) * prod(step_weight[1:]), den)

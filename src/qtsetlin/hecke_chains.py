@@ -203,18 +203,25 @@ def transition_matrix_perm(rates: PermRates) -> LinearOperator:
 def _shuffle_operator(states, act, n, qd, weight):
     """Matrix of sum_{i=1}^{n} T_{i-1} ... T_1 X from the integer action
     act(s, i) of qd T_i and the diagonal weight(t) of X, one sparse row per
-    state, by Horner's rule on ints (see the module docstring)."""
+    state, by Horner's rule on ints (see the module docstring).  The action
+    is tabulated per generator as {u: act(u, i)}, each entry on first use,
+    with zero coefficients dropped and every target replaced by the equal
+    state of `states`, so the table holds no copies of the states."""
     d, numerators = integer_numerators([weight(t) for t in states])
     scaled = dict(zip(states, numerators))
+    tables = [{} for _ in range(n)]
+    canonical = {s: s for s in states}
 
     def row(s):
         w = {s: 1}
         for i in range(n - 1, 0, -1):
+            table = tables[i]
             nxt = {s: qd ** (n - i)}
             for u, a in w.items():
-                for t, c in act(u, i):
-                    if c:
-                        nxt[t] = nxt.get(t, 0) + a * c
+                if (pairs := table.get(u)) is None:
+                    pairs = table[u] = tuple((canonical[t], c) for t, c in act(u, i) if c)
+                for t, c in pairs:
+                    nxt[t] = nxt.get(t, 0) + a * c
             w = nxt
         return ((t, a * scaled[t]) for t, a in w.items())
 

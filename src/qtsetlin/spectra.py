@@ -282,7 +282,13 @@ def generic_perm_rates(n: int, seed=0, q=None, p=None) -> PermRates:
 
 def generic_word_rates(m, seed=0, q=None) -> WordRates:
     """Random positive letter rates summing to 1, resampled until the
-    upper-set eigenvalues are pairwise distinct."""
+    upper-set eigenvalues are pairwise distinct.  Equal arguments give the
+    same (frozen) object, with its factor memo."""
+    return _sample_word_rates(tuple(m), seed, q)
+
+
+@lru_cache(maxsize=256)
+def _sample_word_rates(m, seed, q):
     rng = random.Random(seed)
     for _ in range(200):
         qq = q if q is not None else Fraction(rng.randint(2, 7))

@@ -11,15 +11,29 @@ the word chain at content (1^n), so `kappa_perm`, `perm_factors` and
 
 Each factor of a word w depends on little of it: the prefactor on inv(w), the
 k-th denominator on the content of w[:k-1], the k-th numerator on the content
-of w[p_k-1:k-1] and the letter w_k.  `word_factors` memoizes them under that
-data on the rates (`WordRates._factor_memo`), once per sub-multiset.
+of w[p_k-1:k-1] and the letter w_k.  `_position_factors` evaluates both
+factors at position k from w[:k] and memoizes them under that data on the
+rates (`WordRates._factor_memo`), once per sub-multiset; `word_factors` and
+the walk below both call it.
+
+Since the k-th factors read only w[:k], `stationary_word_formula` evaluates
+the closed form in one depth-first walk of the prefix tree, visiting the
+prefixes in lexicographic order, so the words come out in `word_states`
+order.  It carries three values down the tree: the inversion number (a
+letter adds the count of smaller letters still to place) and the integer
+numerator and denominator of the factors fixed so far.  A prefix of length k
+multiplies in its k-th numerator and denominator factor, so every factor is
+read once per prefix rather than once per word, and each leaf builds one
+Fraction with its prefactor.  A vanishing denominator stops the walk at the
+first prefix that has one and names the first word below it, the same word
+and k the per-word product reports; numerators that vanish do not stop it.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .combinatorics import inv, perm_states, q_factorial, state_key, word_states
+from .combinatorics import inv, perm_states, q_factorial, state_key
 from .exact import _combine_rows, format_rational, integer_numerators, left_null_space
 from .exact import scaled_integer_rows, shift
 from .flags import _check_rates, coset_to_perm, enumerate_flags
@@ -62,6 +76,8 @@ class StationaryVector:
         s = self.total()
         if s == 0:
             raise ValueError("vector sums to zero; cannot normalize")
+        if s == 1:
+            return self
         return StationaryVector(self.states, tuple(v / s for v in self.values))
 
     def is_left_eigenvector(self, op: LinearOperator, eigenvalue) -> bool:
@@ -90,15 +106,12 @@ def kappa_word(b, rates: WordRates) -> Fraction:
 
     With c_j = xbar_j q^(n_j) / [m_j]_q this is sum_i c_{b_i} q^(i - k - 1),
     evaluated by Horner's rule in 1/q."""
-    if not b:
-        return Fraction(0)
     c = rates.kappa_coeffs
     q_inv = 1 / rates.q
-    first, *rest = sorted(b, reverse=True)
-    total = c[first - 1]
-    for v in rest:
-        total = total * q_inv + c[v - 1]
-    return total * q_inv
+    total = Fraction(0)
+    for v in sorted(b, reverse=True):
+        total = (total + c[v - 1]) * q_inv
+    return total
 
 
 def perm_factors(perm, rates: PermRates):
@@ -118,44 +131,51 @@ def _fiber_factor(m, q) -> Fraction:
     return out
 
 
+def _prefactor(inversions, rates: WordRates) -> Fraction:
+    """q^(-inv(w)) times the fiber factor, memoized under the inversion number."""
+    memo = rates._factor_memo
+    if (pre := memo.get(("pre", inversions))) is None:
+        pre = memo["pre", inversions] = rates.q**-inversions * _fiber_factor(rates.m, rates.q)
+    return pre
+
+
+def _position_factors(word, k, rates: WordRates):
+    """(numerator, denominator) factor at position k, 1 <= k < n, of a word
+    whose first k letters are `word[:k]`; nothing later is read."""
+    memo = rates._factor_memo
+    q = rates.q
+    prefix = word[: k - 1]
+    key = ("den", tuple(sorted(prefix)))
+    if (d := memo.get(key)) is None:
+        d = memo[key] = rates.total() - q ** (k - rates.n - 1) * kappa_word(prefix, rates)
+    # The segment runs from p_k to k - 1; it is empty at a left-to-right minimum.
+    v = word[k - 1]
+    i = next((j for j in range(k - 1) if word[j] < v), k - 1)
+    segment = word[i : k - 1]
+    key = ("num", tuple(sorted(segment)), v)
+    if (f := memo.get(key)) is None:
+        f = memo[key] = kappa_word(word[i:k], rates) - kappa_word(segment, rates) / q
+    return f, d
+
+
 def word_factors(word, rates: WordRates):
     """(prefactor, numerator factors, denominator factors) for one word,
     each looked up in the rates' factor memo under the data it depends on."""
-    memo = rates._factor_memo
-    n = rates.n
-    q = rates.q
-    key = ("pre", inv(word))
-    if (pre := memo.get(key)) is None:
-        pre = memo[key] = q ** -key[1] * _fiber_factor(rates.m, q)
-    nums = []
-    dens = []
-    for k in range(1, n):
-        prefix = word[: k - 1]
-        key = ("den", tuple(sorted(prefix)))
-        if (d := memo.get(key)) is None:
-            d = memo[key] = rates.total() - q ** (k - n - 1) * kappa_word(prefix, rates)
-        dens.append(d)
-        # The segment runs from p_k to k - 1; it is empty at a left-to-right minimum.
-        v = word[k - 1]
-        i = next((j for j in range(k - 1) if word[j] < v), k - 1)
-        segment = word[i : k - 1]
-        key = ("num", tuple(sorted(segment)), v)
-        if (f := memo.get(key)) is None:
-            f = memo[key] = kappa_word(word[i:k], rates) - kappa_word(segment, rates) / q
-        nums.append(f)
-    return pre, nums, dens
+    pairs = [_position_factors(word, k, rates) for k in range(1, rates.n)]
+    return _prefactor(inv(word), rates), [f for f, _ in pairs], [d for _, d in pairs]
 
 
-def _product_of_factors(state, pre, nums, dens, label):
-    """pre * prod(nums) / prod(dens), multiplied out on integers and reduced once."""
-    a, b = pre.numerator, pre.denominator
+def _product_of_factors(state, nums, dens):
+    """prod(nums) / prod(dens) of the flag formula, multiplied out on integers
+    and reduced once."""
+    a = b = 1
     for f in nums:
         a *= f.numerator
         b *= f.denominator
     for k, d in enumerate(dens, start=1):
         if d == 0:
             name = state_key(state)
-            raise ValueError(f"{label} denominator factor k={k} vanishes at state {name}")
+            raise ValueError(f"flag formula denominator factor k={k} vanishes at state {name}")
         a *= d.denominator
         b *= d.numerator
     return Fraction(a, b)
@@ -166,12 +186,37 @@ def stationary_perm_formula(rates: PermRates) -> StationaryVector:
 
 
 def stationary_word_formula(rates: WordRates) -> StationaryVector:
-    states = tuple(word_states(rates.m))
-    values = []
-    for word in states:
-        pre, nums, dens = word_factors(word, rates)
-        values.append(_product_of_factors(word, pre, nums, dens, "word formula"))
-    return StationaryVector(states, tuple(values))
+    """The closed form on every word, in one depth-first walk of the prefix
+    tree (see the module docstring)."""
+    n = rates.n
+    letters = range(1, rates.letters + 1)
+    remaining = [0, *rates.m]
+    word, states, values = [], [], []
+
+    def walk(inversions, a, b):
+        k = len(word)
+        if k == n:
+            pre = _prefactor(inversions, rates)
+            states.append(tuple(word))
+            values.append(Fraction(a * pre.numerator, b * pre.denominator))
+            return
+        below = 0
+        for v in letters:
+            if not (count := remaining[v]):
+                continue
+            remaining[v] -= 1
+            word.append(v)
+            f, d = _position_factors(word, k + 1, rates) if k + 1 < n else (1, 1)
+            if d == 0:
+                name = state_key(word + [u for u in letters for _ in range(remaining[u])])
+                raise ValueError(f"word formula denominator factor k={k + 1} vanishes at state {name}")
+            walk(inversions + below, a * f.numerator * d.denominator, b * f.denominator * d.numerator)
+            word.pop()
+            remaining[v] += 1
+            below += count
+
+    walk(0, 1, 1)
+    return StationaryVector(tuple(states), tuple(values))
 
 
 def flag_coset_factors(perm, rates: PermRates):
@@ -215,7 +260,7 @@ def stationary_flags_formula(rates: PermRates, p: int) -> StationaryVector:
     per_perm = {}
     for perm in perm_states(n):
         nums, dens = flag_coset_factors(perm, rates)
-        per_perm[perm] = _product_of_factors(perm, Fraction(1), nums, dens, "flag formula")
+        per_perm[perm] = _product_of_factors(perm, nums, dens)
     states = tuple(enumerate_flags(n, p))
     return StationaryVector(states, tuple(per_perm[coset_to_perm(f)] for f in states))
 

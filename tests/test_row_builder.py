@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtsetlin import hecke_chains
 from qtsetlin.combinatorics import word_states
 from qtsetlin.exact import Matrix, mat_mul, vec_mat
 from qtsetlin.flags import (
@@ -49,6 +50,24 @@ def test_row_builder_matches_dense_products(m, q):
     op = transition_matrix_word(rates)
     assert op.states == states
     assert op.matrix == reference
+
+
+@pytest.mark.parametrize("m", [(1, 1, 1, 1, 1), (1, 1, 1, 1, 2)], ids=str)
+def test_row_builder_acts_once_per_state_and_generator(m, monkeypatch):
+    rates = WordRates(F(5, 2), tuple(F(2 * j + 1, 3 * j + 5) for j in range(len(m))), m)
+    calls = 0
+    act = hecke_chains._act
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return act(*args)
+
+    monkeypatch.setattr(hecke_chains, "_act", counted)
+    op = transition_matrix_word(rates)
+    assert 0 < calls <= len(op.states) * (sum(m) - 1)
+    gens = [_generator_matrix(op.states, i, rates.q) for i in range(1, sum(m))]
+    assert op.matrix == mat_mul(_shuffle_sum(gens, len(op.states)), weight_op_word(rates).matrix)
 
 
 @pytest.mark.parametrize(

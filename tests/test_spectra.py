@@ -1,5 +1,9 @@
+import contextlib
+import io
 from fractions import Fraction as F
+from pathlib import Path
 
+from qtsetlin.cli import main
 from qtsetlin.combinatorics import derangement, q_int
 from qtsetlin.exact import Matrix
 from qtsetlin.flags import transition_matrix_flags
@@ -225,3 +229,19 @@ class TestGenericSampling:
     def test_deterministic_for_seed(self):
         assert generic_perm_rates(3, seed=14).x == generic_perm_rates(3, seed=14).x
         assert generic_word_rates((2, 2), seed=14).xbar == generic_word_rates((2, 2), seed=14).xbar
+
+    def test_repeated_call_returns_the_same_object(self):
+        rates = generic_word_rates((2, 1, 2), seed=15, q=F(3))
+        assert generic_word_rates([2, 1, 2], 15, F(3)) is rates
+        assert generic_word_rates((2, 1, 2), seed=15, q=F(2)) is not rates
+        assert generic_word_rates((2, 1, 2), seed=16, q=F(3)) is not rates
+
+    def test_verify_output_unchanged_when_rates_are_shared(self):
+        # The second run takes every rate object, factor memo included, from
+        # the first run's cache; both must print the stored golden bytes.
+        golden = (Path(__file__).resolve().parent / "golden" / "readme_verify_all.out").read_text()
+        for _ in range(2):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                assert main("verify --suite all --n-max 3 --p 2,3".split()) == 0
+            assert buf.getvalue() == golden
