@@ -9,9 +9,11 @@ and every operation touches only the nonzeros.  Every state-indexed matrix of
 the package (generators, weights, transition matrices, intertwiners) is
 assembled by `state_matrix` from one sparse row of (target, coeff) pairs per
 source state; int coefficients over a common denominator are summed as ints
-and divided once.  `shift` forms M - lambda I, and `scaled_integer_rows` gives
-D M as sparse integer rows for the common denominator D of M and a set of
-scalars, which the annihilation check works on.
+and divided once.  `mat_mul` likewise sums the products of the integer rows
+of D_a A and D_b B and divides once by D_a D_b.  `shift` forms M - lambda I,
+and `scaled_integer_rows` gives D M as sparse integer rows for the common
+denominator D of M and a set of scalars, which the annihilation check and
+`mat_mul` work on.
 
 Elimination is fraction-free: rows are scaled to integers and reduced by
 cross-multiplication followed by a gcd division, so intermediate entries stay
@@ -175,17 +177,19 @@ def _over(x, denominator):
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Exact product over the nonzeros of both factors."""
+    """Exact product over the nonzeros of both factors: with D_a a and D_b b
+    as integer rows, the products are summed as ints and each nonzero of the
+    result is one Fraction over D_a D_b."""
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    right = b.nonzeros
-    return Matrix._from_nonzeros(
-        [
-            _accumulate((k, x * y) for j, x in row.items() for k, y in right[j].items())
-            for row in a.nonzeros
-        ],
-        b.cols,
+    da, left = scaled_integer_rows(a)
+    db, right = scaled_integer_rows(b)
+    d = da * db
+    rows = (
+        _accumulate((k, x * y) for j, x in row.items() for k, y in right[j].items())
+        for row in left
     )
+    return Matrix._from_nonzeros([{k: Fraction(x, d) for k, x in row.items()} for row in rows], b.cols)
 
 
 def vec_mat(v, m: Matrix):

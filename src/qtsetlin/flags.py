@@ -14,6 +14,17 @@ they never change the chain of column spans.
 flags are its columns with every pivot row cleared (reduced echelon bases, so
 subspace equality is tuple equality), and the path method reads the step at
 which each line enters a flag off the flag's canonical columns.
+
+`insert_line` re-canonicalizes the whole flag with the line in front; the
+line-insertion table (`_insertion_table`) does not.  A canonical column c_k
+is the unique normalized vector of c_k + V_{k-1} that vanishes on the lead
+rows of V_{k-1}.  Inserting v with entry step j (the least j with v in V_j)
+leaves V_{k-1} unchanged for every k > j, so the new flag's columns are the
+canonical columns of (v, c_1, ..., c_{j-1}) followed by c_{j+1}, ..., c_n as
+they are.  The table runs this on vectors coded as ints in [0, p^n), with
+x - c*y and the lead row and normalization of x memoized as they are met
+while the table of one (n, p) is built, and looks the targets up by the
+tuple of column codes; `insert_line` stays as its independent reference.
 """
 
 import bisect
@@ -208,15 +219,97 @@ def insert_line(flag: FlagRep, line: Line) -> FlagRep:
     return result
 
 
+class _Memo(dict):
+    """Dict that fills a missing key with `fill(key)` and keeps it."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+class _VectorCodes:
+    """F_p^n with each vector coded as the int sum_r v[r] p^(n-1-r) in
+    [0, p^n).  Entry r of code x is x // weights[r] % p.  `minus[x, c, y]`
+    is the code of x - c*y and `pivot[x]` is (lead row, code of x scaled so
+    its lead entry is 1), both filled on first use."""
+
+    def __init__(self, n, p):
+        self.p = p
+        self.weights = tuple(p ** (n - 1 - r) for r in range(n))
+        self.minus = _Memo(self._minus)
+        self.pivot = _Memo(self._pivot)
+
+    def encode(self, v) -> int:
+        x = 0
+        for a in v:
+            x = x * self.p + a % self.p
+        return x
+
+    def decode(self, x) -> tuple:
+        return tuple(x // w % self.p for w in self.weights)
+
+    def _minus(self, key):
+        x, c, y = key
+        return self.encode([a - c * b for a, b in zip(self.decode(x), self.decode(y))])
+
+    def _pivot(self, x):
+        v = self.decode(x)
+        lead = next(r for r, a in enumerate(v) if a)
+        s = _inv_mod(v[lead], self.p)
+        return lead, self.encode([a * s for a in v])
+
+
+def _insert_coded(codes, cols, leads, v):
+    """Column codes of the flag that inserting the line of code v in front
+    of the canonical flag with column codes `cols` gives; leads[k] is the
+    pivot row of cols[k].
+
+    v is reduced against the columns as in `_entry_step`; at the entry step
+    j it vanishes and column j drops out.  Each earlier column is reduced
+    against the new pivots, exactly as `_canonical_columns` does on
+    (v, c_1, ..., c_{j-1}), and the later columns are kept as they are (see
+    the module docstring).
+    """
+    p, weights, minus, pivot = codes.p, codes.weights, codes.minus, codes.pivot
+    lead, v = pivot[v]
+    w = v
+    placed = [(lead, v)]
+    prefix = [v]
+    for k, col in enumerate(cols):
+        a = w // weights[leads[k]] % p
+        if a:
+            w = minus[w, a, col]
+            if not w:
+                return (*prefix, *cols[k + 1 :])
+        for row, other in placed:
+            c = col // weights[row] % p
+            if c:
+                col = minus[col, c, other]
+        lead, col = pivot[col]
+        bisect.insort(placed, (lead, col))
+        prefix.append(col)
+    raise ValueError("line insertion lost a dimension")
+
+
 @lru_cache(maxsize=8)
 def _insertion_table(n, p):
     """(flags, lines, targets): targets[f][l] is the index of the flag that
     inserting line l in front of flag f gives.  It does not depend on the
-    rates."""
+    rates.  Flags are looked up by the tuple of their column codes."""
     states = _flag_states(n, p)
     lines = enumerate_lines(n, p)
-    index = {f: k for k, f in enumerate(states)}
-    targets = [tuple(index[insert_line(f, line)] for line in lines) for f in states]
+    codes = _VectorCodes(n, p)
+    flag_codes = [tuple(codes.encode(col) for col in f.cols) for f in states]
+    index = {cols: k for k, cols in enumerate(flag_codes)}
+    line_codes = [codes.encode(line.vector(n)) for line in lines]
+    targets = []
+    for cols in flag_codes:
+        leads = tuple(codes.pivot[col][0] for col in cols)
+        targets.append(tuple(index[_insert_coded(codes, cols, leads, v)] for v in line_codes))
     return states, lines, targets
 
 

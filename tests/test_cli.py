@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from qtsetlin import suites
 from qtsetlin.cli import main
+from qtsetlin.combinatorics import q_factorial
 
 
 def run(capsys, *argv):
@@ -193,6 +195,21 @@ class TestVerify:
             ["PASS", "flag", "n=2", "p=59:"],
             ["PASS", "flag", "n=2", "p=61:"],
         ]
+
+    def test_properties_suite_builds_no_flag_space_over_the_cap(self, capsys, monkeypatch):
+        built = []
+        original = suites.transition_matrix_flags
+
+        def capped(rates, p):
+            assert q_factorial(rates.n, p) <= suites.FLAG_STATE_CAP, f"built flags n={rates.n} p={p}"
+            built.append((rates.n, p))
+            return original(rates, p)
+
+        monkeypatch.setattr(suites, "transition_matrix_flags", capped)
+        code, out, _ = run(capsys, "verify", "--suite", "properties", "--n-max", "3", "--p", "13")
+        assert code == 0
+        assert built == [(2, 13)] * len(built) and 0 < len(built) < 5
+        assert f"row sums equal the total rate on {45 + len(built)} random configurations" in out
 
 
 class TestConfigErrors:

@@ -131,13 +131,13 @@ def test_flag_insertion_table_is_built_once_per_space(monkeypatch):
     rates, so a second set of rates reuses the table: no insertion runs,
     and the matrix still matches the reference."""
     calls = []
-    original = flags.insert_line
+    original = flags._insert_coded
 
-    def counting(flag, line):
+    def counting(*args):
         calls.append(1)
-        return original(flag, line)
+        return original(*args)
 
-    monkeypatch.setattr(flags, "insert_line", counting)
+    monkeypatch.setattr(flags, "_insert_coded", counting)
     flags._insertion_table.cache_clear()
     n, p = 3, 3
     transition_matrix_flags(flag_rates(n, p), p)
