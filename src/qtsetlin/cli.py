@@ -43,8 +43,8 @@ from . import suites
 __all__ = ["main", "build_parser", "ConfigError"]
 
 
-class ConfigError(Exception):
-    pass
+class ConfigError(ValueError):
+    """Bad configuration; main reports it, like every ValueError, with exit 2."""
 
 
 def _parse_rates(text):
@@ -162,10 +162,11 @@ def cmd_matrix(args) -> int:
     rates = _load_config(args)
     op = _build_operator(args, rates)
     states = [state_key(s) for s in op.states]
+    d = op.matrix.denominator
     cells = [["0"] * op.matrix.cols for _ in states]
-    for row, nonzeros in zip(cells, op.matrix.nonzeros):
-        for c, v in nonzeros.items():
-            row[c] = format_rational(v)
+    for row, ints in zip(cells, op.matrix.int_rows):
+        for c, x in ints.items():
+            row[c] = format_rational(Fraction(x, d))
     if args.format == "json":
         # json.dumps(indent=2) with "entries": cells; rational strings need no escaping.
         head = json.dumps({"states": states}, indent=2)[: -len("\n}")]
@@ -397,9 +398,6 @@ def main(argv=None) -> int:
         if getattr(args, "n", None) is not None and args.n < 1:
             raise ConfigError(f"--n must be at least 1, got {args.n}")
         return args.func(args)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -2,22 +2,16 @@
 Exact linear algebra over the rationals.
 
 Every scalar in this package is a `fractions.Fraction`, which is always stored
-reduced with a positive denominator.  `Matrix` is stored as sparse rows, one
-{col: value} dict of nonzeros per row, and is the exchange and equality type;
-`data` is a dense view built on access.  The chain matrices are very sparse,
-and every operation touches only the nonzeros.  Every state-indexed matrix of
-the package (generators, weights, transition matrices, intertwiners) is
-assembled by `state_matrix` from one sparse row of (target, coeff) pairs per
-source state; int coefficients over a common denominator are summed as ints
-and divided once.  `mat_mul` likewise sums the products of the integer rows
-of D_a A and D_b B and divides once by D_a D_b.  `shift` forms M - lambda I,
-and `scaled_integer_rows` gives D M as sparse integer rows for the common
-denominator D of M and a set of scalars, which the annihilation check and
-`mat_mul` work on.
+reduced with a positive denominator.  `Matrix`, the exchange and equality
+type, is stored as one positive denominator D and the sparse integer rows of
+D M, one {col: int} dict of nonzeros per row; indexing, `row` and `data` give
+Fractions.  Every operation touches only the nonzeros, as ints, with one lcm
+or gcd per result.  Every state-indexed matrix of the package is assembled by
+`state_matrix` from one sparse row of (target, coeff) pairs per source state.
 
-Elimination is fraction-free: rows are scaled to integers and reduced by
-cross-multiplication followed by a gcd division, so intermediate entries stay
-no larger than the corresponding minors.
+Elimination is fraction-free: the integer rows, each divided by its gcd, are
+reduced by cross-multiplication followed by a gcd division, so intermediate
+entries stay no larger than the corresponding minors.
 """
 
 from fractions import Fraction
@@ -51,14 +45,14 @@ def parse_rational(s: str) -> Fraction:
     return Fraction(s.strip())
 
 
-_ZERO = Fraction(0)
-
-
 class Matrix:
-    """Matrix of Fractions; `nonzeros[r]` maps each column of a nonzero of row
-    r to its value.  Zeros are never stored.  Treated as immutable."""
+    """Rational matrix stored as one positive `denominator` D and sparse
+    integer rows: `int_rows[r]` maps each column of a nonzero of row r to
+    D times its value.  The form is canonical, so equal matrices have equal
+    fields: no zero is stored, gcd(D, every entry) == 1, and D == 1 for a
+    zero matrix.  Treated as immutable."""
 
-    __slots__ = ("rows", "cols", "nonzeros")
+    __slots__ = ("rows", "cols", "denominator", "int_rows")
 
     def __init__(self, data):
         data = [[Fraction(x) for x in row] for row in data]
@@ -66,54 +60,63 @@ class Matrix:
         self.cols = len(data[0]) if data else 0
         if any(len(row) != self.cols for row in data):
             raise ValueError("ragged rows")
-        self.nonzeros = [{c: x for c, x in enumerate(row) if x} for row in data]
+        # Over the lcm of the reduced denominators, gcd(D, entries) is 1.
+        self.denominator = d = lcm(*(x.denominator for row in data for x in row))
+        self.int_rows = [{c: x.numerator * (d // x.denominator) for c, x in enumerate(row) if x} for row in data]
 
     @classmethod
-    def _from_nonzeros(cls, nonzeros, cols):
+    def _from_int_rows(cls, int_rows, cols, denominator=1):
+        """int_rows / denominator, for rows without zeros and a positive
+        denominator; the common factor of the denominator and the entries
+        is divided out, and the rows are only copied when there is one."""
+        g = denominator
+        for row in int_rows:
+            if g == 1:
+                break
+            g = gcd(g, *row.values())
+        if g > 1:
+            int_rows = [{c: x // g for c, x in row.items()} for row in int_rows]
         m = cls.__new__(cls)
-        m.rows, m.cols, m.nonzeros = len(nonzeros), cols, nonzeros
+        m.rows, m.cols, m.denominator, m.int_rows = len(int_rows), cols, denominator // g, int_rows
         return m
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls._from_nonzeros([{} for _ in range(rows)], cols)
+        return cls._from_int_rows([{} for _ in range(rows)], cols)
 
     @classmethod
     def identity(cls, n):
-        one = Fraction(1)
-        return cls._from_nonzeros([{i: one} for i in range(n)], n)
+        return cls._from_int_rows([{i: 1} for i in range(n)], n)
 
     @property
     def data(self):
-        """Dense rows, built on each access."""
+        """Dense rows of Fractions, built on each access."""
         return [self.row(r) for r in range(self.rows)]
 
     def __getitem__(self, rc):
         r, c = rc
         if not (0 <= r < self.rows and 0 <= c < self.cols):
             raise IndexError(f"entry ({r}, {c}) out of range for a {self.rows}x{self.cols} matrix")
-        return self.nonzeros[r].get(c, _ZERO)
+        return Fraction(self.int_rows[r].get(c, 0), self.denominator)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.nonzeros == other.nonzeros
-        )
+        fields = (self.cols, self.denominator, self.int_rows)
+        return isinstance(other, Matrix) and fields == (other.cols, other.denominator, other.int_rows)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(frozenset(row.items()) for row in self.nonzeros)))
+        rows = tuple(frozenset(row.items()) for row in self.int_rows)
+        return hash((self.rows, self.cols, self.denominator, rows))
 
     def __add__(self, other):
         if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError(
-                f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
-            )
-        return Matrix._from_nonzeros(
-            [_accumulate([*a.items(), *b.items()]) for a, b in zip(self.nonzeros, other.nonzeros)],
-            self.cols,
-        )
+            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
+        d = lcm(self.denominator, other.denominator)
+        sa, sb = d // self.denominator, d // other.denominator
+        rows = [
+            _accumulate([*((c, x * sa) for c, x in a.items()), *((c, x * sb) for c, x in b.items())])
+            for a, b in zip(self.int_rows, other.int_rows)
+        ]
+        return Matrix._from_int_rows(rows, self.cols, d)
 
     def __sub__(self, other):
         return self + other * -1
@@ -122,30 +125,32 @@ class Matrix:
         if isinstance(other, Matrix):
             return mat_mul(self, other)
         c = Fraction(other)
-        return Matrix._from_nonzeros(
-            [_accumulate((k, x * c) for k, x in row.items()) for row in self.nonzeros], self.cols
-        )
+        if not c:
+            return Matrix.zeros(self.rows, self.cols)
+        rows = [{k: x * c.numerator for k, x in row.items()} for row in self.int_rows]
+        return Matrix._from_int_rows(rows, self.cols, self.denominator * c.denominator)
 
     __rmul__ = __mul__
 
     def transpose(self):
         out = [{} for _ in range(self.cols)]
-        for r, row in enumerate(self.nonzeros):
+        for r, row in enumerate(self.int_rows):
             for c, x in row.items():
                 out[c][r] = x
-        return Matrix._from_nonzeros(out, self.rows)
+        return Matrix._from_int_rows(out, self.rows, self.denominator)
 
     def is_zero(self):
-        return not any(self.nonzeros)
+        return not any(self.int_rows)
 
     def row(self, r):
-        out = [_ZERO] * self.cols
-        for c, x in self.nonzeros[r].items():
-            out[c] = x
+        d = self.denominator
+        out = [Fraction(0)] * self.cols
+        for c, x in self.int_rows[r].items():
+            out[c] = Fraction(x, d)
         return out
 
     def row_sums(self):
-        return [sum(row.values(), _ZERO) for row in self.nonzeros]
+        return [Fraction(sum(row.values()), self.denominator) for row in self.int_rows]
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
@@ -163,40 +168,38 @@ def _accumulate(pairs):
 def state_matrix(sources, targets, entries, denominator=1) -> Matrix:
     """Matrix with rows indexed by `sources` and columns by `targets`; the
     row of state s holds the (target, coeff) pairs of `entries(s)` over
-    `denominator`, repeated targets added up first (ints as ints)."""
+    `denominator`, repeated targets added up first (ints as ints).  Fraction
+    coefficients are scaled to ints over their lcm."""
     index = {t: c for c, t in enumerate(targets)}
-    rows = (_accumulate((index[t], x) for t, x in entries(s)) for s in sources)
-    return Matrix._from_nonzeros(
-        [{c: _over(x, denominator) for c, x in row.items()} for row in rows], len(targets)
-    )
-
-
-def _over(x, denominator):
-    """x / denominator as a Fraction; a Fraction over 1 is kept as it is."""
-    return x if denominator == 1 and type(x) is Fraction else Fraction(x, denominator)
+    rows = [_accumulate((index[t], x) for t, x in entries(s)) for s in sources]
+    if any(type(x) is not int for row in rows for x in row.values()):
+        scale = lcm(*(x.denominator for row in rows for x in row.values()))
+        rows = [{c: x.numerator * (scale // x.denominator) for c, x in row.items()} for row in rows]
+        denominator *= scale
+    return Matrix._from_int_rows(rows, len(targets), denominator)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Exact product over the nonzeros of both factors: with D_a a and D_b b
-    as integer rows, the products are summed as ints and each nonzero of the
-    result is one Fraction over D_a D_b."""
+    """Exact product over the nonzeros of both factors: the products of the
+    integer rows are summed as ints over D_a D_b."""
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    da, left = scaled_integer_rows(a)
-    db, right = scaled_integer_rows(b)
-    d = da * db
-    rows = (
+    right = b.int_rows
+    rows = [
         _accumulate((k, x * y) for j, x in row.items() for k, y in right[j].items())
-        for row in left
-    )
-    return Matrix._from_nonzeros([{k: Fraction(x, d) for k, x in row.items()} for row in rows], b.cols)
+        for row in a.int_rows
+    ]
+    return Matrix._from_int_rows(rows, b.cols, a.denominator * b.denominator)
 
 
 def vec_mat(v, m: Matrix):
-    """Row vector times matrix, exact; zeros of both factors are skipped."""
+    """Row vector times matrix, exact: (L v) . (D m) on ints, divided once
+    per entry by L D; zeros of both factors are skipped."""
     if len(v) != m.rows:
         raise ValueError("dimension mismatch")
-    return _combine_rows(v, m.nonzeros, [_ZERO] * m.cols)
+    scale, ints = integer_numerators(v)
+    d = scale * m.denominator
+    return [Fraction(x, d) for x in _combine_rows(ints, m.int_rows, [0] * m.cols)]
 
 
 def _combine_rows(v, rows, out):
@@ -213,17 +216,6 @@ def shift(m: Matrix, lam) -> Matrix:
     return m - lam * Matrix.identity(m.rows)
 
 
-def scaled_integer_rows(m: Matrix, scalars=()):
-    """(D, rows): D is the least positive integer that makes D*x integral for
-    every entry x of m and every x in `scalars`, and rows are the sparse rows
-    of D*m as {col: int} dicts."""
-    denominators = {x.denominator for row in m.nonzeros for x in row.values()}
-    denominators.update(Fraction(x).denominator for x in scalars)
-    scale = lcm(*denominators)
-    rows = [{c: x.numerator * (scale // x.denominator) for c, x in row.items()} for row in m.nonzeros]
-    return scale, rows
-
-
 def integer_numerators(values):
     """(d, ints): d is the lcm of the denominators of the sequence `values`,
     and ints are the values times d."""
@@ -232,15 +224,12 @@ def integer_numerators(values):
 
 
 def _integer_rows(m: Matrix):
-    """Dense int rows: each row scaled by the lcm of its denominators
-    (preserves row space, rank and right null space), common factors stripped."""
+    """Dense int rows of D m, each divided by the gcd of its entries
+    (preserves row space, rank and right null space)."""
     rows = []
-    for row in m.nonzeros:
-        ints = [0] * m.cols
-        for c, x in zip(row, integer_numerators(row.values())[1]):
-            ints[c] = x
-        g = gcd(*ints)
-        rows.append([v // g for v in ints] if g > 1 else ints)
+    for row in m.int_rows:
+        g = gcd(*row.values()) or 1
+        rows.append([row.get(c, 0) // g for c in range(m.cols)])
     return rows
 
 

@@ -59,14 +59,23 @@ __all__ = [
 ]
 
 
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_BOUND = 3317044064679887385961981
+
+
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    """Miller-Rabin on the first 13 primes as bases, which is exact below
+    PRIME_TEST_BOUND (Sorenson and Webster, Math. Comp. 86 (2017)); a
+    ValueError at or above it."""
+    if p >= PRIME_TEST_BOUND:
+        raise ValueError(f"field size {p} is too large: the primality test is exact only below {PRIME_TEST_BOUND}")
+    if p < 2 or any(p % a == 0 for a in _PRIME_BASES):
+        return p in _PRIME_BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # 2^s is the largest power of 2 dividing p - 1
+    for a in _PRIME_BASES:
+        x = pow(a, (p - 1) >> s, p)
+        if x != 1 and all(pow(x, 2**r, p) != p - 1 for r in range(s)):
             return False
-        d += 1
     return True
 
 

@@ -21,14 +21,14 @@ q = 1 this is the classical move-to-front chain.
 The structure constants of T_i lie in Z[q].  With q = qn/qd, every chain
 supplies only its states, its integer generator action act(s, i) (the
 (target, coeff) pairs of s . (qd T_i)) and its weight; `exact.state_matrix`
-assembles the matrix from sparse rows.  `_shuffle_operator` builds the
-transition matrix row by row from the action, with no matrix products:
-Horner's rule w <- qd^(n-i) s + w . (qd T_i) for i = n-1, ..., 1, on a
-sparse {state: int} dict w, gives qd^(n-1) s . (1 + T_1 + T_2 T_1 + ... +
-T_{n-1} ... T_1).  Each target is scaled by its weight's numerator over the
-weights' lcm d, and divided once by qd^(n-1) d.  The word chain uses it with
-`_act` and the flag chain (`flags.transition_matrix_flags_hecke`) with the
-coset action (qd = 1).  `_shuffle_sum` keeps the product form, a sum of
+stores the matrix as int rows over one denominator.  `_shuffle_operator`
+builds the transition matrix row by row from the action, with no matrix
+products: Horner's rule w <- qd^(n-i) s + w . (qd T_i) for i = n-1, ..., 1,
+on a sparse {state: int} dict w, gives qd^(n-1) s . (1 + T_1 + T_2 T_1 + ...
++ T_{n-1} ... T_1).  Each target is scaled by its weight's numerator over
+the weights' lcm d, over the denominator qd^(n-1) d.  The word chain uses
+it with `_act`, the flag chain (`flags.transition_matrix_flags_hecke`) with
+the coset action (qd = 1).  `_shuffle_sum` keeps the product form, a sum of
 products of generator matrices, as an independent oracle.
 """
 

@@ -15,11 +15,11 @@ products fix the multiplicities (see `_certified`).  Only when that
 certificate fails is each nullity computed by fraction-free elimination
 (`exact.rank_nullity`), so the report still names the wrong value.
 
-The pass runs on integers: D is the lcm of the denominators of M and of
-the catalog values, so D M has integer rows and each D lambda is an integer.
-It is applied to one unit row vector at a time, on the sparse integer rows
-of D M, and a row stops as soon as it vanishes.  Nothing is modular or
-randomized.
+The pass runs on the integer rows of D M, where D is the lcm of M's stored
+denominator and those of the catalog values (the stored rows are rescaled
+only when it is larger), so each D lambda is an integer.  It is applied to
+one unit row vector at a time, and a row stops as soon as it vanishes.
+Nothing is modular or randomized.
 """
 
 import random
@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 from .combinatorics import (
     derangement,
@@ -36,7 +36,7 @@ from .combinatorics import (
     q_derangement,
     q_int,
 )
-from .exact import Matrix, format_rational, rank_nullity, scaled_integer_rows, shift
+from .exact import Matrix, format_rational, rank_nullity, shift
 from .flags import _check_rates
 from .hecke_chains import LinearOperator, PermRates, WordRates
 
@@ -238,8 +238,9 @@ def _spectral_pass(m: Matrix, values: tuple):
     for the traces.  A row that vanishes stops and adds nothing to the
     later traces.
     """
-    scale, rows = scaled_integer_rows(m, values)
-    rows = [tuple(row.items()) for row in rows]
+    scale = lcm(m.denominator, *(v.denominator for v in values))
+    factor = scale // m.denominator
+    rows = [tuple((k, x * factor) for k, x in row.items()) for row in m.int_rows]
     scaled = [int(v * scale) for v in values]
     traces = [0] * len(scaled)
     size = m.rows

@@ -34,8 +34,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .combinatorics import inv, perm_states, q_factorial, state_key
-from .exact import _combine_rows, format_rational, integer_numerators, left_null_space
-from .exact import scaled_integer_rows, shift
+from .exact import _combine_rows, format_rational, integer_numerators, left_null_space, shift
 from .flags import _check_rates, coset_to_perm, enumerate_flags
 from .hecke_chains import LinearOperator, PermRates, WordRates
 
@@ -81,14 +80,17 @@ class StationaryVector:
         return StationaryVector(self.states, tuple(v / s for v in self.values))
 
     def is_left_eigenvector(self, op: LinearOperator, eigenvalue) -> bool:
-        """Exact check of v . M == eigenvalue * v on integers, as
-        (L v) . (D M) == (D eigenvalue) (L v) for the common denominators."""
+        """Exact check of v . M == eigenvalue * v on integers: with M stored
+        as (D M) / D, eigenvalue = a / b and L v integral, it is
+        b (L v) . (D M) == D a (L v)."""
         if self.states != op.states:
             raise ValueError("state index mismatch")
-        scale, rows = scaled_integer_rows(op.matrix, [eigenvalue])
-        lam = int(Fraction(eigenvalue) * scale)
+        m = op.matrix
+        lam = Fraction(eigenvalue)
         ints = integer_numerators(self.values)[1]
-        return _combine_rows(ints, rows, [0] * len(ints)) == [lam * v for v in ints]
+        lhs = _combine_rows(ints, m.int_rows, [0] * len(ints))
+        b, da = lam.denominator, m.denominator * lam.numerator
+        return all(b * x == da * v for x, v in zip(lhs, ints))
 
     def as_dict(self):
         return {state_key(s): format_rational(v) for s, v in zip(self.states, self.values)}

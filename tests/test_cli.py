@@ -5,6 +5,7 @@ import pytest
 from qtsetlin import suites
 from qtsetlin.cli import main
 from qtsetlin.combinatorics import q_factorial
+from qtsetlin.flags import PRIME_TEST_BOUND
 
 
 def run(capsys, *argv):
@@ -328,6 +329,34 @@ class TestConfigErrors:
         assert code == 2
         assert out == ""
         assert f"--p lists the prime {prime} twice" in err
+
+    def test_large_prime_p_is_decided_without_trial_division(self, capsys):
+        mersenne = str(2**61 - 1)
+        code, out, _ = run(capsys, "verify", "--suite", "hecke", "--n-max", "2", "--p", mersenne)
+        assert code == 0
+        assert out.endswith("1/1 checks passed\n")
+        code, out, _ = run(capsys, "matrix", "--space", "flag", "--n", "1", "--p", mersenne, "--rates", "1")
+        assert code == 0
+        assert json.loads(out) == {"states": ["1"], "entries": [["1"]]}
+        code, out, err = run(capsys, "verify", "--suite", "hecke", "--n-max", "2", "--p", str(2**61 + 1))
+        assert code == 2
+        assert out == ""
+        assert f"--p entry {2**61 + 1} is not prime" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "verify --suite hecke --n-max 2 --p {}",
+            "matrix --space flag --n 1 --rates 1 --p {}",
+            "lump-check --n 2 --p {}",
+        ],
+    )
+    def test_p_past_the_primality_bound_is_refused(self, capsys, argv):
+        code, out, err = run(capsys, *argv.format(PRIME_TEST_BOUND).split())
+        assert code == 2
+        assert out == ""
+        assert f"exact only below {PRIME_TEST_BOUND}" in err
+        assert "Traceback" not in err
 
     def test_word_n_equal_to_content_size_is_accepted(self, capsys):
         argv = ["matrix", "--space", "word", "--m", "1,2", "--q", "2"]

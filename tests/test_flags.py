@@ -15,6 +15,7 @@ from qtsetlin.flags import (
     enumerate_lines,
     hecke_generator_coset,
     insert_line,
+    PRIME_TEST_BOUND,
     is_prime,
     line_weight,
     lrb_product,
@@ -68,6 +69,21 @@ class TestLines:
         assert not is_prime(1) and not is_prime(4) and is_prime(13)
         with pytest.raises(ValueError):
             enumerate_lines(2, 4)
+
+    def test_miller_rabin_is_exact_up_to_its_bound(self):
+        def trial_division(p):
+            return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
+
+        assert [p for p in range(3000) if is_prime(p)] == [p for p in range(3000) if trial_division(p)]
+        assert is_prime(2) and not is_prime(1) and not is_prime(0) and not is_prime(-7)
+        assert is_prime(2**61 - 1) and not is_prime(2**61 + 1)
+        # 561 is a Carmichael number; 3215031751 is a strong pseudoprime to the
+        # bases 2, 3, 5 and 7; 318665857834031151167461 to every prime base up
+        # to 37, so it takes the 13th base, 41, to see it is composite.
+        for composite in (561, 3215031751, 318665857834031151167461):
+            assert not is_prime(composite)
+        with pytest.raises(ValueError, match=str(PRIME_TEST_BOUND)):
+            is_prime(PRIME_TEST_BOUND)
 
 
 class TestCanonicalize:

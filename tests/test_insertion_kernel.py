@@ -5,11 +5,12 @@ inserted flag from the canonical columns of (v, c_1, ..., c_{j-1}) followed
 by the unchanged c_{j+1}, ..., c_n, where j is the entry step of v.
 `insert_line`, which re-canonicalizes the whole flag, is the reference: the
 table must give its target on every (flag, line) pair.  `mat_mul` sums the
-products of the integer rows of both factors and divides once; the dense
-Fraction product is its reference.
+products of the integer rows of both factors over D_a D_b and divides out the
+common factor once; the dense Fraction product is its reference.
 """
 
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -120,7 +121,9 @@ def dense_product(a, b):
 def assert_product(a: Matrix, b: Matrix):
     product = mat_mul(a, b)
     assert product.data == dense_product(a.data, b.data)
-    assert all(x and type(x) is F for row in product.nonzeros for x in row.values())
+    entries = [x for row in product.int_rows for x in row.values()]
+    assert all(x and type(x) is int for x in entries)
+    assert gcd(product.denominator, *entries) == 1
     return product
 
 
@@ -140,18 +143,20 @@ def test_mat_mul_cancels_to_zero():
     a = Matrix([[F(1, 3), F(2, 5)], [F(1), F(0)]])
     b = Matrix([[F(6, 7), F(1, 2)], [F(-5, 7), F(1)]])
     product = assert_product(a, b)
-    assert product.nonzeros == [{1: F(17, 30)}, {0: F(6, 7), 1: F(1, 2)}]
-    assert mat_mul(Matrix([[F(1), F(1)]]), Matrix([[F(3, 4)], [F(-3, 4)]])).nonzeros == [{}]
+    assert (product.denominator, product.int_rows) == (210, [{1: 119}, {0: 180, 1: 105}])
+    zero = mat_mul(Matrix([[F(1), F(1)]]), Matrix([[F(3, 4)], [F(-3, 4)]]))
+    assert (zero.denominator, zero.int_rows) == (1, [{}])
 
 
 def test_mat_mul_rectangular_and_empty_shapes():
     a = Matrix([[F(1, 2), F(0), F(3)]])
     b = Matrix([[F(2)], [F(5)], [F(1, 3)]])
-    assert mat_mul(a, b).nonzeros == [{0: F(2)}]
-    assert mat_mul(b, a).nonzeros == [{0: F(1), 2: F(6)}, {0: F(5, 2), 2: F(15)}, {0: F(1, 6), 2: F(1)}]
+    ab, ba = mat_mul(a, b), mat_mul(b, a)
+    assert (ab.denominator, ab.int_rows) == (1, [{0: 2}])
+    assert (ba.denominator, ba.int_rows) == (6, [{0: 6, 2: 36}, {0: 15, 2: 90}, {0: 1, 2: 6}])
     empty = mat_mul(Matrix.zeros(2, 0), Matrix.zeros(0, 3))
-    assert (empty.rows, empty.cols, empty.nonzeros) == (2, 3, [{}, {}])
+    assert (empty.rows, empty.cols, empty.denominator, empty.int_rows) == (2, 3, 1, [{}, {}])
     none = mat_mul(Matrix.zeros(0, 3), b)
-    assert (none.rows, none.cols, none.nonzeros) == (0, 1, [])
+    assert (none.rows, none.cols, none.denominator, none.int_rows) == (0, 1, 1, [])
     with pytest.raises(ValueError, match="dimension mismatch"):
         mat_mul(a, a)

@@ -1,7 +1,8 @@
-"""Chain matrices assembled on integers, and `matrix` printed from the nonzeros.
+"""Chain matrices assembled on integers, and `matrix` printed from the integer rows.
 
 The builders run Horner's rule and line insertion on ints over one common
-denominator per operator, and `state_matrix` divides each surviving sum once.
+denominator per operator, and `state_matrix` stores the surviving sums as
+they are, over that denominator with the common factor divided out.
 The references below are the former versions: Horner's rule on Fractions,
 w <- s + w . T_i with the Fraction action of T_i, every entry then scaled by
 its Fraction weight; line insertion adding Fraction line weights; and the
@@ -95,8 +96,11 @@ def reference_line_insertion_rows(states, rates, p):
 
 
 def assert_rows(matrix, expected):
-    assert matrix.nonzeros == expected
-    assert all(type(x) is F for row in matrix.nonzeros for x in row.values())
+    """The stored entries of `matrix`, as Fractions, are the sparse rows
+    `expected`, and every stored entry is an int."""
+    d = matrix.denominator
+    assert [{c: F(x, d) for c, x in row.items()} for row in matrix.int_rows] == expected
+    assert all(type(x) is int for row in matrix.int_rows for x in row.values())
 
 
 WORD_CASES = [(m, q) for n in range(1, 6) for m in compositions(n) for q in QS]
@@ -152,16 +156,10 @@ def test_flag_insertion_table_is_built_once_per_space(monkeypatch):
 def test_state_matrix_adds_ints_and_divides_once():
     entries = {"s": (("t", 3), ("u", 2), ("t", -3), ("u", 4)), "t": (("s", 6),), "u": ()}
     m = state_matrix("stu", "stu", lambda s: entries[s], 4)
-    assert m.nonzeros == [{2: F(3, 2)}, {0: F(3, 2)}, {}]
-    assert all(type(x) is F for row in m.nonzeros for x in row.values())
+    assert (m.denominator, m.int_rows) == (2, [{2: 3}, {0: 3}, {}])
     mixed = state_matrix("s", "st", lambda s: (("t", 1), ("t", F(1, 3)), ("s", F(5, 7))), 2)
-    assert mixed.nonzeros == [{1: F(2, 3), 0: F(5, 14)}]
-
-
-def test_state_matrix_keeps_fraction_coefficients_as_given():
-    x = F(7, 3)
-    m = state_matrix("s", "s", lambda s: (("s", x),))
-    assert m.nonzeros[0][0] is x
+    assert (mixed.denominator, mixed.int_rows) == (42, [{1: 28, 0: 15}])
+    assert mixed.data == [[F(5, 14), F(2, 3)]]
 
 
 def test_left_eigenvector_check_on_integers():
