@@ -14,30 +14,16 @@ from fractions import Fraction
 
 from .combinatorics import state_key
 from .exact import format_rational, parse_rational
-from .flags import enumerate_flags, is_prime, rcayley_stationary, transition_matrix_flags
-from .hecke_chains import (
-    PermRates,
-    WordRates,
-    transition_matrix_perm,
-    transition_matrix_word,
-)
+from .flags import enumerate_flags, is_prime, rcayley_stationary
+from .hecke_chains import PermRates, WordRates
 from .lumping import check_commuting, map_rates_word_to_perm
 from .spectra import (
-    eigen_catalog_flags,
-    eigen_catalog_perm,
-    eigen_catalog_word,
     generic_perm_rates,
     generic_word_rates,
     verify_annihilation,
     verify_multiplicities,
 )
-from .stationary import (
-    StationaryVector,
-    stationary_flags_formula,
-    stationary_oracle,
-    stationary_perm_formula,
-    stationary_word_formula,
-)
+from .stationary import StationaryVector, stationary_oracle
 from . import suites
 
 __all__ = ["main", "build_parser", "ConfigError"]
@@ -108,7 +94,7 @@ def _word_rates(args, m, q):
 
 
 def _load_config(args):
-    """Validate the flag combination and build the rates for the space."""
+    """Validate the flag combination and return the chain it names."""
     space = args.space
     for name in {"flag": ("m",), "perm": ("p", "m"), "word": ("p",)}.get(space, ()):
         if getattr(args, name) is not None:
@@ -122,29 +108,21 @@ def _load_config(args):
             raise ConfigError("flag space takes q from --p; omit --q")
         if args.n is None:
             raise ConfigError("flag space requires --n")
-        return _perm_rates(args, Fraction(args.p))
+        return suites.Chain("flag", _perm_rates(args, Fraction(args.p)), args.p)
     if space == "perm":
         if args.n is None:
             raise ConfigError("perm space requires --n")
         if args.q is None:
             raise ConfigError("perm space requires --q")
-        return _perm_rates(args, _parse_q(args.q))
+        return suites.Chain("perm", _perm_rates(args, _parse_q(args.q)))
     if space == "word":
         if args.m is None:
             raise ConfigError("word space requires --m")
         if args.q is None:
             raise ConfigError("word space requires --q")
         m = _parse_composition(args)
-        return _word_rates(args, m, _parse_q(args.q))
+        return suites.Chain("word", _word_rates(args, m, _parse_q(args.q)))
     raise ConfigError(f"unknown space {space!r}")
-
-
-def _build_operator(args, rates):
-    if args.space == "perm":
-        return transition_matrix_perm(rates)
-    if args.space == "word":
-        return transition_matrix_word(rates)
-    return transition_matrix_flags(rates, args.p)
 
 
 def _emit(args, text):
@@ -159,8 +137,7 @@ def _emit(args, text):
 
 
 def cmd_matrix(args) -> int:
-    rates = _load_config(args)
-    op = _build_operator(args, rates)
+    op = _load_config(args).operator()
     states = [state_key(s) for s in op.states]
     d = op.matrix.denominator
     cells = [["0"] * op.matrix.cols for _ in states]
@@ -181,34 +158,27 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_stationary(args) -> int:
-    rates = _load_config(args)
+    chain = _load_config(args)
+    rates = chain.rates
     if args.method == "semigroup" and args.space != "flag":
         raise ConfigError("--method semigroup applies to the flag space only")
     methods = {}
     if args.method == "all":
         wanted = ["formula", "oracle"]
-        if args.space == "flag" and rates.total() == 1:
+        if chain.space == "flag" and rates.total() == 1:
             wanted.append("semigroup")
     else:
         wanted = [args.method]
-    op = None
     for method in wanted:
         if method == "formula":
-            if args.space == "perm":
-                vec = stationary_perm_formula(rates)
-            elif args.space == "word":
-                vec = stationary_word_formula(rates)
-            else:
-                vec = stationary_flags_formula(rates, args.p)
-            methods["formula"] = vec.normalized()
+            methods["formula"] = chain.formula().normalized()
         elif method == "oracle":
-            op = op or _build_operator(args, rates)
-            methods["oracle"] = stationary_oracle(op, rates.total())
+            methods["oracle"] = stationary_oracle(chain.operator(), rates.total())
         elif method == "semigroup":
             if rates.total() != 1:
                 raise ConfigError("--method semigroup requires rates summing to 1")
-            flags = enumerate_flags(rates.n, args.p)
-            values = tuple(rcayley_stationary(rates, args.p, f) for f in flags)
+            flags = enumerate_flags(rates.n, chain.p)
+            values = tuple(rcayley_stationary(rates, chain.p, f) for f in flags)
             methods["semigroup"] = StationaryVector(tuple(flags), values)
     if args.method != "all":
         _emit_vector(args, next(iter(methods.values())))
@@ -238,13 +208,8 @@ def _emit_vector(args, vec):
 
 
 def cmd_spectrum(args) -> int:
-    rates = _load_config(args)
-    if args.space == "perm":
-        catalog = eigen_catalog_perm(rates)
-    elif args.space == "word":
-        catalog = eigen_catalog_word(rates)
-    else:
-        catalog = eigen_catalog_flags(rates, args.p)
+    chain = _load_config(args)
+    catalog = chain.catalog()
     rows = [
         {
             "label": list(e.label),
@@ -256,7 +221,7 @@ def cmd_spectrum(args) -> int:
     failed = False
     payload = {"catalog": rows}
     if args.verify:
-        op = _build_operator(args, rates)
+        op = chain.operator()
         report = verify_multiplicities(op, catalog)
         annihilates = verify_annihilation(op, catalog)
         payload["verification"] = report.as_json()
@@ -309,8 +274,8 @@ def cmd_verify(args) -> int:
     if args.n_max is not None and args.suite == "matrix":
         raise ConfigError("the matrix suite does not read --n-max; omit it")
     n_max = 3 if args.n_max is None else args.n_max
-    if n_max < 1:
-        raise ConfigError(f"--n-max must be at least 1, got {n_max}")
+    if n_max < 2:
+        raise ConfigError(f"--n-max must be at least 2, got {n_max}; no suite checks a chain below n=2")
     if args.p == "":
         raise ConfigError("--p is empty; omit it for the default 2,3")
     if args.p is not None and args.suite == "q1-reduction":

@@ -1,5 +1,6 @@
 """
-Named verification suites behind `qtsetlin verify`.
+Named verification suites behind `qtsetlin verify`, and `Chain`, the one
+handle on a chain that they and the CLI build from.
 
 Each suite returns (check name, passed) pairs; every check is an exact
 identity, so there are no tolerances anywhere.  Sizes are bounded by the
@@ -8,6 +9,7 @@ desk scale.
 """
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -55,7 +57,6 @@ from .spectra import (
 from .stationary import (
     classical_tsetlin_stationary,
     flag_coset_factors,
-    perm_factors,
     stationary_flags_formula,
     stationary_oracle,
     stationary_perm_formula,
@@ -77,6 +78,86 @@ SUITES = (
 FLAG_STATE_CAP = 400
 # The stationary suite runs the path method up to this many flags.
 FLAG_PATH_CAP = 60
+
+
+@dataclass(frozen=True)
+class Chain:
+    """One chain: its space ("perm", "word" or "flag"), its rates and, for
+    flags, the prime p (the rates carry q = p).  Each method calls the
+    builder of its space, looked up as a module global at call time."""
+
+    space: str
+    rates: WordRates
+    p: int = None
+
+    @property
+    def name(self):
+        """The prefix of the chain's check names."""
+        if self.space == "word":
+            return f"word m={self.rates.m}"
+        if self.space == "flag":
+            return f"flag n={self.rates.n} p={self.p}"
+        return f"perm n={self.rates.n}"
+
+    def size(self):
+        """The state count from its closed form, before any enumeration:
+        the multinomial coefficient of the content (n! for perm), or [n]_p!."""
+        if self.space == "flag":
+            return int(q_factorial(self.rates.n, self.p))
+        size = factorial(self.rates.n)
+        for part in self.rates.m:
+            size //= factorial(part)
+        return size
+
+    def fits(self, cap=FLAG_STATE_CAP):
+        """Whether the chain has at most cap states; every cap is checked here."""
+        return cap is None or self.size() <= cap
+
+    def _build(self, perm, word, flags):
+        if self.space == "flag":
+            return flags(self.rates, self.p)
+        return (perm if self.space == "perm" else word)(self.rates)
+
+    def operator(self):
+        """The transition matrix."""
+        return self._build(transition_matrix_perm, transition_matrix_word, transition_matrix_flags)
+
+    def formula(self):
+        """The closed-form stationary vector."""
+        return self._build(stationary_perm_formula, stationary_word_formula, stationary_flags_formula)
+
+    def catalog(self):
+        """The eigenvalue catalog with its predicted multiplicities."""
+        return self._build(eigen_catalog_perm, eigen_catalog_word, eigen_catalog_flags)
+
+
+def perm_chains(n_max, seed_of, q=None):
+    """Perm n = 2..n_max, each at generic rates sampled from seed_of(n)."""
+    return [Chain("perm", generic_perm_rates(n, seed=seed_of(n), q=q)) for n in range(2, n_max + 1)]
+
+
+def word_chains(n_max, seed, keep_ones=False):
+    """Words of every content of n = 2..n_max with at least two parts, at
+    generic rates sampled from seed; content (1^n), the perm chain, only
+    with keep_ones."""
+    return [
+        Chain("word", generic_word_rates(m, seed=seed))
+        for n in range(2, n_max + 1)
+        for m in compositions(n)
+        if len(m) > 1 and (keep_ones or len(m) < n)
+    ]
+
+
+def flag_chains(n_max, p_list, seed_of, cap=FLAG_STATE_CAP):
+    """Flags n = 2..n_max over F_p for each p in p_list, at generic rates
+    sampled from seed_of(n), keeping the chains that fit under cap."""
+    chains = []
+    for p in p_list:
+        for n in range(2, n_max + 1):
+            chain = Chain("flag", generic_perm_rates(n, seed=seed_of(n), p=p), p)
+            if chain.fits(cap):
+                chains.append(chain)
+    return chains
 
 
 def compositions(n):
@@ -136,138 +217,105 @@ def suite_matrix(n_max, p_list, seed):
     for q in (Fraction(2), Fraction(3), Fraction(5, 2)):
         for trial in range(3):
             rates = _rand_rates(rng, 3, q=q)
-            got = transition_matrix_perm(rates).matrix
+            got = Chain("perm", rates).operator().matrix
             checks.append(
                 (f"perm n=3 matrix equals reference form (q={q}, sample {trial})", got == reference_matrix_n3(rates))
             )
     for trial in range(3):
         wrates = WordRates(Fraction(rng.randint(2, 5)), _rand_rates(rng, 2).x, (1, 2))
-        got = transition_matrix_word(wrates).matrix
+        got = Chain("word", wrates).operator().matrix
         checks.append(
             (f"word m=(1,2) matrix equals reference form (sample {trial})", got == reference_matrix_m12(wrates))
         )
     for p in p_list:
-        n = 3
-        if q_factorial(n, p) <= FLAG_STATE_CAP:
-            rates = generic_perm_rates(n, seed=seed, p=p)
-            a = transition_matrix_flags(rates, p).matrix
-            b = transition_matrix_flags_hecke(rates, p).matrix
+        chain = Chain("flag", generic_perm_rates(3, seed=seed, p=p), p)
+        if chain.fits():
+            a = chain.operator().matrix
+            b = transition_matrix_flags_hecke(chain.rates, p).matrix
             checks.append((f"flag matrix line-insertion == Hecke composition (n=3, p={p})", a == b))
     return checks
 
 
 def suite_stationary(n_max, p_list, seed):
     checks = []
-    for n in range(2, n_max + 1):
-        rates = generic_perm_rates(n, seed=seed + n)
-        op = transition_matrix_perm(rates)
-        psi = stationary_perm_formula(rates)
-        ok = psi.is_left_eigenvector(op, rates.total()) and psi.total() == 1
-        ok = ok and stationary_oracle(op, rates.total()).values == psi.values
-        checks.append((f"perm n={n}: formula is stationary and oracle agrees", ok))
-    for n in range(2, n_max + 1):
-        for m in compositions(n):
-            if len(m) == n or len(m) == 1:
-                continue
-            wrates = generic_word_rates(m, seed=seed)
-            op = transition_matrix_word(wrates)
-            psi = stationary_word_formula(wrates)
-            ok = psi.is_left_eigenvector(op, wrates.total()) and psi.total() == 1
-            ok = ok and stationary_oracle(op, wrates.total()).values == psi.values
-            checks.append((f"word m={m}: formula is stationary and oracle agrees", ok))
-    for p in p_list:
-        for n in range(2, n_max + 1):
-            if q_factorial(n, p) > FLAG_STATE_CAP:
-                continue
-            rates = generic_perm_rates(n, seed=seed + n, p=p)
-            op = transition_matrix_flags(rates, p)
-            psi = stationary_flags_formula(rates, p)
-            ok = psi.is_left_eigenvector(op, rates.total()) and psi.total() == 1
-            ok = ok and stationary_oracle(op, rates.total()).values == psi.values
-            if q_factorial(n, p) <= FLAG_PATH_CAP:
-                ok = ok and all(
-                    rcayley_stationary(rates, p, f) == psi[f] for f in op.states
-                )
-                name = f"flag n={n} p={p}: formula, oracle and path method agree"
-            else:
-                name = f"flag n={n} p={p}: formula is stationary and oracle agrees"
-            checks.append((name, ok))
+    chains = (
+        perm_chains(n_max, lambda n: seed + n)
+        + word_chains(n_max, seed)
+        + flag_chains(n_max, p_list, lambda n: seed + n)
+    )
+    for chain in chains:
+        op = chain.operator()
+        psi = chain.formula()
+        total = chain.rates.total()
+        ok = psi.is_left_eigenvector(op, total) and psi.total() == 1
+        ok = ok and stationary_oracle(op, total).values == psi.values
+        if chain.space == "flag" and chain.fits(FLAG_PATH_CAP):
+            ok = ok and all(rcayley_stationary(chain.rates, chain.p, f) == psi[f] for f in op.states)
+            checks.append((f"{chain.name}: formula, oracle and path method agree", ok))
+        else:
+            checks.append((f"{chain.name}: formula is stationary and oracle agrees", ok))
     return checks
+
+
+# The derangement count each space's predicted multiplicities come from.
+DERANGEMENTS = {"perm": "derangement", "word": "poset-derangement", "flag": "q-derangement"}
 
 
 def suite_spectra(n_max, p_list, seed):
     checks = []
-    for n in range(2, n_max + 1):
-        rates = generic_perm_rates(n, seed=seed + 17 * n)
-        op = transition_matrix_perm(rates)
-        cat = eigen_catalog_perm(rates)
-        rep = verify_multiplicities(op, cat)
-        checks.append((f"perm n={n}: nullities match derangement multiplicities", rep.all_pass))
-        checks.append((f"perm n={n}: annihilation product vanishes", verify_annihilation(op, cat)))
-    for n in range(2, n_max + 1):
-        for m in compositions(n):
-            if len(m) == 1:
-                continue
-            wrates = generic_word_rates(m, seed=seed)
-            op = transition_matrix_word(wrates)
-            cat = eigen_catalog_word(wrates)
-            rep = verify_multiplicities(op, cat)
-            checks.append((f"word m={m}: nullities match poset-derangement multiplicities", rep.all_pass))
-    for p in p_list:
-        for n in range(2, n_max + 1):
-            if q_factorial(n, p) > FLAG_STATE_CAP:
-                continue
-            rates = generic_perm_rates(n, seed=seed + n, p=p)
-            op = transition_matrix_flags(rates, p)
-            cat = eigen_catalog_flags(rates, p)
-            rep = verify_multiplicities(op, cat)
-            ok = rep.all_pass and verify_annihilation(op, cat)
-            checks.append((f"flag n={n} p={p}: nullities match q-derangement multiplicities", ok))
+    chains = (
+        perm_chains(n_max, lambda n: seed + 17 * n)
+        + word_chains(n_max, seed, keep_ones=True)
+        + flag_chains(n_max, p_list, lambda n: seed + n)
+    )
+    for chain in chains:
+        op = chain.operator()
+        cat = chain.catalog()
+        ok = verify_multiplicities(op, cat).all_pass
+        if chain.space == "flag":
+            ok = ok and verify_annihilation(op, cat)
+        checks.append((f"{chain.name}: nullities match {DERANGEMENTS[chain.space]} multiplicities", ok))
+        if chain.space == "perm":
+            checks.append((f"{chain.name}: annihilation product vanishes", verify_annihilation(op, cat)))
     return checks
 
 
 def suite_lumping(n_max, p_list, seed):
     checks = []
-    for p in p_list:
-        for n in range(2, n_max + 1):
-            if q_factorial(n, p) > FLAG_STATE_CAP:
-                continue
-            rates = generic_perm_rates(n, seed=seed + n, p=p)
-            for diagram in ("flags-perms-proj", "flags-perms-incl"):
-                checks.append(
-                    (f"{diagram} commutes (n={n}, p={p})", check_commuting(diagram, rates, p=p))
-                )
-            psi_f = stationary_flags_formula(rates, p)
-            psi_p = stationary_perm_formula(rates)
-            lumped = vec_mat(psi_f.values, proj_flags_to_perms(n, p).matrix)
+    for chain in flag_chains(n_max, p_list, lambda n: seed + n):
+        rates, n, p = chain.rates, chain.rates.n, chain.p
+        for diagram in ("flags-perms-proj", "flags-perms-incl"):
             checks.append(
-                (f"flag stationary lumps to perm stationary (n={n}, p={p})", tuple(lumped) == psi_p.values)
+                (f"{diagram} commutes (n={n}, p={p})", check_commuting(diagram, rates, p=p))
             )
+        psi_f = chain.formula()
+        psi_p = Chain("perm", rates).formula()
+        lumped = vec_mat(psi_f.values, proj_flags_to_perms(n, p).matrix)
+        checks.append(
+            (f"flag stationary lumps to perm stationary (n={n}, p={p})", tuple(lumped) == psi_p.values)
+        )
+        checks.append(
+            (
+                f"perm mass is p^coinv times flag mass (n={n}, p={p})",
+                all(
+                    psi_p[coset_to_perm(f)] == Fraction(p) ** coinv(coset_to_perm(f)) * psi_f[f]
+                    for f in psi_f.states
+                ),
+            )
+        )
+    for chain in word_chains(n_max, seed):
+        m = chain.rates.m
+        rates = map_rates_word_to_perm(chain.rates)
+        for diagram in ("perms-words-proj", "perms-words-incl"):
             checks.append(
-                (
-                    f"perm mass is p^coinv times flag mass (n={n}, p={p})",
-                    all(
-                        psi_p[coset_to_perm(f)] == Fraction(p) ** coinv(coset_to_perm(f)) * psi_f[f]
-                        for f in psi_f.states
-                    ),
-                )
+                (f"{diagram} commutes (m={m})", check_commuting(diagram, rates, m=m))
             )
-    for n in range(2, n_max + 1):
-        for m in compositions(n):
-            if len(m) == 1 or len(m) == n:
-                continue
-            wrates = generic_word_rates(m, seed=seed)
-            rates = map_rates_word_to_perm(wrates)
-            for diagram in ("perms-words-proj", "perms-words-incl"):
-                checks.append(
-                    (f"{diagram} commutes (m={m})", check_commuting(diagram, rates, m=m))
-                )
-            psi_p = stationary_perm_formula(rates)
-            psi_w = stationary_word_formula(wrates)
-            lumped = vec_mat(psi_p.values, proj_perms_to_words(m).matrix)
-            checks.append(
-                (f"perm stationary lumps to word stationary (m={m})", tuple(lumped) == psi_w.values)
-            )
+        psi_p = Chain("perm", rates).formula()
+        psi_w = chain.formula()
+        lumped = vec_mat(psi_p.values, proj_perms_to_words(m).matrix)
+        checks.append(
+            (f"perm stationary lumps to word stationary (m={m})", tuple(lumped) == psi_w.values)
+        )
     return checks
 
 
@@ -298,23 +346,21 @@ def suite_hecke(n_max, p_list, seed):
                 continue
             gens = [hecke_generator_word(i, m, q).matrix for i in range(1, n)]
             checks.append((f"Hecke relations on words (m={m}, q={q})", _hecke_relations(gens, q)))
-    for p in p_list:
-        for n in range(2, n_max + 1):
-            if q_factorial(n, p) > FLAG_STATE_CAP:
-                continue
-            gens = [hecke_generator_coset(i, n, p).matrix for i in range(1, n)]
-            checks.append((f"Hecke relations on flags (n={n}, p={p})", _hecke_relations(gens, Fraction(p))))
+    for chain in flag_chains(n_max, p_list, lambda n: seed + n):
+        n, p = chain.rates.n, chain.p
+        gens = [hecke_generator_coset(i, n, p).matrix for i in range(1, n)]
+        checks.append((f"Hecke relations on flags (n={n}, p={p})", _hecke_relations(gens, Fraction(p))))
     return checks
 
 
 def suite_q1(n_max, p_list, seed):
     checks = []
-    for n in range(2, min(n_max, 5) + 1):
-        rates = generic_perm_rates(n, seed=seed + n, q=Fraction(1))
-        psi = stationary_perm_formula(rates)
+    for chain in perm_chains(min(n_max, 5), lambda n: seed + n, q=Fraction(1)):
+        rates, n = chain.rates, chain.rates.n
+        psi = chain.formula()
         classical = classical_tsetlin_stationary(rates.x)
         checks.append((f"q=1 stationary equals classical product formula (n={n})", psi.values == classical.values))
-        cat = eigen_catalog_perm(rates)
+        cat = chain.catalog()
         ok = all(
             e.value == sum((rates.x[i - 1] for i in e.label), Fraction(0)) for e in cat
         )
@@ -327,49 +373,35 @@ def suite_properties(n_max, p_list, seed):
     rng = random.Random(seed)
     checks = []
 
-    ok = True
+    draws = []
     for _ in range(30):
         n = rng.randint(2, max(2, n_max))
-        rates = _rand_rates(rng, n, normalized=False)
-        sums = set(transition_matrix_perm(rates).matrix.row_sums())
-        ok = ok and sums == {rates.total()}
+        draws.append(Chain("perm", _rand_rates(rng, n, normalized=False)))
     for _ in range(15):
         n = rng.randint(2, max(2, n_max))
         m = rng.choice([m for m in compositions(n) if len(m) > 1] or [(n,)])
         wrates = WordRates(Fraction(rng.randint(2, 5)), _rand_rates(rng, len(m), normalized=False).x, m)
-        sums = set(transition_matrix_word(wrates).matrix.row_sums())
-        ok = ok and sums == {wrates.total()}
-    configurations = 30 + 15
+        draws.append(Chain("word", wrates))
     for _ in range(5):
         p = rng.choice(p_list)
         n = rng.randint(2, 3)
-        rates = PermRates(Fraction(p), _rand_rates(rng, n, normalized=False).x)
+        chain = Chain("flag", PermRates(Fraction(p), _rand_rates(rng, n, normalized=False).x), p)
         # The draw is made either way, so the later draws do not depend on the cap.
-        if q_factorial(n, p) > FLAG_STATE_CAP:
-            continue
-        configurations += 1
-        sums = set(transition_matrix_flags(rates, p).matrix.row_sums())
-        ok = ok and sums == {rates.total()}
-    checks.append((f"row sums equal the total rate on {configurations} random configurations", ok))
+        if chain.fits():
+            draws.append(chain)
+    ok = all(set(c.operator().matrix.row_sums()) == {c.rates.total()} for c in draws)
+    checks.append((f"row sums equal the total rate on {len(draws)} random configurations", ok))
 
     ok = True
-    for n in range(2, n_max + 1):
-        rates = generic_perm_rates(n, seed=seed + n)
-        for perm in perm_states(n):
-            pre, nums, dens = perm_factors(perm, rates)
-            ok = ok and pre > 0 and all(f > 0 for f in nums) and all(f > 0 for f in dens)
-        for m in compositions(n):
-            if len(m) == 1:
-                continue
-            wrates = generic_word_rates(m, seed=seed)
-            for word in word_states(m):
-                pre, nums, dens = word_factors(word, wrates)
-                ok = ok and pre > 0 and all(f > 0 for f in nums) and all(f > 0 for f in dens)
-        prime = p_list[0]
-        frates = generic_perm_rates(n, seed=seed + n, p=prime)
-        for perm in perm_states(n):
-            nums, dens = flag_coset_factors(perm, frates)
-            ok = ok and all(f > 0 for f in nums) and all(f > 0 for f in dens)
+    generic = perm_chains(n_max, lambda n: seed + n) + word_chains(n_max, seed, keep_ones=True)
+    for chain in generic:
+        for word in word_states(chain.rates.m):
+            pre, nums, dens = word_factors(word, chain.rates)
+            ok = ok and pre > 0 and all(f > 0 for f in nums + dens)
+    for chain in flag_chains(n_max, p_list[:1], lambda n: seed + n, cap=None):
+        for perm in perm_states(chain.rates.n):
+            nums, dens = flag_coset_factors(perm, chain.rates)
+            ok = ok and all(f > 0 for f in nums + dens)
     checks.append(("every stationary factor is positive at q >= 1, rates > 0", ok))
 
     p = p_list[0]
@@ -383,18 +415,8 @@ def suite_properties(n_max, p_list, seed):
         ok = ok and lrb_product(ab, a) == ab
     checks.append(("partial flags: idempotent and aba = ab on 100 random pairs", ok))
 
-    ok = True
-    for n in range(2, n_max + 1):
-        rates = generic_perm_rates(n, seed=seed + n)
-        ok = ok and sum(e.multiplicity for e in eigen_catalog_perm(rates)) == factorial(n)
-        for m in compositions(n):
-            if len(m) == 1:
-                continue
-            wrates = generic_word_rates(m, seed=seed)
-            ok = ok and sum(e.multiplicity for e in eigen_catalog_word(wrates)) == len(word_states(m))
-        for prime in p_list:
-            frates = generic_perm_rates(n, seed=seed, p=prime)
-            ok = ok and sum(e.multiplicity for e in eigen_catalog_flags(frates, prime)) == q_factorial(n, prime)
+    chains = generic + flag_chains(n_max, p_list, lambda n: seed, cap=None)
+    ok = all(sum(e.multiplicity for e in chain.catalog()) == chain.size() for chain in chains)
     checks.append(("catalog multiplicities always sum to the state-space size", ok))
     return checks
 

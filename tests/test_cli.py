@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qtsetlin import suites
 from qtsetlin.cli import main
 from qtsetlin.combinatorics import q_factorial
 from qtsetlin.flags import PRIME_TEST_BOUND
+from qtsetlin.suites import compositions
 
 
 def run(capsys, *argv):
@@ -266,6 +270,10 @@ class TestConfigErrors:
             "lump-check --n 4 --p 2 --rates 1/2,1/2",
             "verify --n-max -3",
             "verify --suite q1-reduction --n-max 1",
+            "verify --n-max 1",
+            "verify --suite all --n-max 1",
+            "verify --suite properties --n-max 1",
+            "verify --suite stationary --n-max 0",
             "lump-check --m 2,1 --q 2 --n 7",
             "lump-check --n 3 --p 2 --m 2,1 --q 2 --rates 1/2,1/4,1/4",
             "matrix --space perm --n 3 --q 2 --out /nonexistent/x",
@@ -310,6 +318,8 @@ class TestConfigErrors:
             ("lump-check --m 2,1 --q 2 --rates 1/3,2/3 --seed 2", "--seed"),
             ("verify --suite matrix --n-max 1", "--n-max"),
             ("verify --suite matrix --n-max 40", "--n-max"),
+            ("verify --n-max 1", "--n-max"),
+            ("verify --suite properties --n-max 1", "--n-max"),
         ],
     )
     def test_unread_argument_is_named(self, capsys, argv, name):
@@ -370,3 +380,55 @@ class TestConfigErrors:
         with pytest.raises(SystemExit) as exc:
             main(["matrix"])  # missing --space
         assert exc.value.code == 2
+
+
+@st.composite
+def small_argv(draw):
+    """argv for matrix, stationary, spectrum or lump-check at n <= 3.  Each
+    option is mostly valid for the drawn space, and otherwise omitted or one
+    of a few invalid values."""
+    command = draw(st.sampled_from(["matrix", "stationary", "spectrum", "lump-check"]))
+    space = draw(st.sampled_from(["perm", "word", "flag"]))
+    n = draw(st.integers(1, 3))
+    m = draw(st.sampled_from(compositions(n)))
+    letters = n if space != "word" else len(m)
+    argv = [command]
+
+    def option(name, valid, invalid):
+        """Append name=valid (None: omit) six times in eight, else omit it
+        or append one of the invalid values."""
+        kind = draw(st.sampled_from(["valid"] * 6 + ["omitted", "invalid"]))
+        value = draw(st.sampled_from(invalid)) if kind == "invalid" else valid
+        if kind != "omitted" and value is not None:
+            argv.append(f"{name}={value}")
+
+    if command != "lump-check":
+        option("--space", space, ["flags", ""])
+    option("--n", None if space == "word" else n, ["0", "-1"])
+    option("--p", draw(st.sampled_from([2, 3])) if space == "flag" else None, ["4", "1", "0", "-3"])
+    q = draw(st.sampled_from(["2", "1", "5/2", "-3/7", "-1"]))
+    option("--q", None if space == "flag" else q, ["0", "1/0", "abc", ""])
+    option("--m", ",".join(map(str, m)) if space == "word" else None, ["0,1", "2,-1", "x", ""])
+    rates = draw(st.sampled_from([None, ",".join([f"1/{letters}"] * letters), "1/2" + ",1/4" * (letters - 1)]))
+    option("--rates", rates, ["1/0,1", "-1,2", "x", "", "1,1,1,1"])
+    option("--seed", None if rates else draw(st.sampled_from([0, 3])), ["-1"])
+    if command == "stationary":
+        option("--method", draw(st.sampled_from(["formula", "oracle", "semigroup", "all"])), ["bogus"])
+    if command == "spectrum" and draw(st.booleans()):
+        argv.append("--verify")
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_argv())
+def test_fuzzed_argv_keeps_the_exit_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 2:
+        assert "error:" in err.getvalue(), argv

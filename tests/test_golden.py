@@ -5,8 +5,10 @@ the file stored under tests/golden/.  The cases are every command in the
 README plus the permutation-chain matrix, all-method stationary vector and
 verified spectrum at n = 4, q = 5/2, the all-method stationary vectors
 of perm n = 5 and word (2, 1, 2) at q = -3/7, where the closed-form factors
-take both signs, the word (2, 1, 2) matrix at q = -3/7 and the flag n = 3
-matrix as CSV.  Refactors must leave these bytes alone.
+take both signs, the word (2, 1, 2) matrix at q = -3/7, the flag n = 3
+matrix as CSV, and every suite at p = 5, 7, where flags n = 3 p = 5 (186
+flags) is checked without the path method and flags n = 3 p = 7 (456 flags)
+is over the flag cap.  Refactors must leave these bytes alone.
 
 To regenerate after an intended output change:
 
@@ -42,6 +44,7 @@ CASES = {
     "word_m212_stationary_all_negq": "stationary --space word --m 2,1,2 --q=-3/7 --method all",
     "word_m212_matrix_negq": "matrix --space word --m 2,1,2 --q=-3/7",
     "flag_n3_matrix_csv": "matrix --space flag --n 3 --p 2 --format csv",
+    "verify_all_n3_p57": "verify --suite all --n-max 3 --p 5,7",
 }
 
 
