@@ -5,6 +5,9 @@ Subcommands: matrix, stationary, spectrum, lump-check, verify.  Exact values
 are emitted as canonical rational strings ("a/b", or "a" when integral), so
 JSON and CSV output can round-trip without loss.  Exit codes: 0 success,
 1 verification failure, 2 usage or configuration error.
+
+Each subcommand imports the layers it runs when it runs, so a command loads
+no layer it does not use (the README lists them per command).
 """
 
 import argparse
@@ -14,17 +17,7 @@ from fractions import Fraction
 
 from .combinatorics import state_key
 from .exact import format_rational, parse_rational
-from .flags import enumerate_flags, is_prime, rcayley_stationary
-from .hecke_chains import PermRates, WordRates
-from .lumping import check_commuting, map_rates_word_to_perm
-from .spectra import (
-    generic_perm_rates,
-    generic_word_rates,
-    verify_annihilation,
-    verify_multiplicities,
-)
-from .stationary import StationaryVector, stationary_oracle
-from . import suites
+from .hecke_chains import FLAG_STATE_CAP, SUITES, Chain, PermRates, WordRates
 
 __all__ = ["main", "build_parser", "ConfigError"]
 
@@ -77,6 +70,8 @@ def _perm_rates(args, q):
     """--rates at q, checked against --n, or generic rates from --seed."""
     x = _given_rates(args)
     if x is None:
+        from .spectra import generic_perm_rates
+
         return generic_perm_rates(args.n, seed=args.seed or 0, q=q)
     if len(x) != args.n:
         raise ConfigError(f"expected {args.n} rates, got {len(x)}")
@@ -87,6 +82,8 @@ def _word_rates(args, m, q):
     """--rates at q, checked against the composition, or generic rates."""
     xbar = _given_rates(args)
     if xbar is None:
+        from .spectra import generic_word_rates
+
         return generic_word_rates(m, seed=args.seed or 0, q=q)
     if len(xbar) != len(m):
         raise ConfigError(f"expected {len(m)} rates, got {len(xbar)}")
@@ -102,27 +99,33 @@ def _load_config(args):
     if space == "flag":
         if args.p is None:
             raise ConfigError("flag space requires --p")
-        if not is_prime(args.p):
-            raise ConfigError(f"--p {args.p} is not prime")
+        _check_prime(args.p, f"--p {args.p}")
         if args.q is not None:
             raise ConfigError("flag space takes q from --p; omit --q")
         if args.n is None:
             raise ConfigError("flag space requires --n")
-        return suites.Chain("flag", _perm_rates(args, Fraction(args.p)), args.p)
+        return Chain("flag", _perm_rates(args, Fraction(args.p)), args.p)
     if space == "perm":
         if args.n is None:
             raise ConfigError("perm space requires --n")
         if args.q is None:
             raise ConfigError("perm space requires --q")
-        return suites.Chain("perm", _perm_rates(args, _parse_q(args.q)))
+        return Chain("perm", _perm_rates(args, _parse_q(args.q)))
     if space == "word":
         if args.m is None:
             raise ConfigError("word space requires --m")
         if args.q is None:
             raise ConfigError("word space requires --q")
         m = _parse_composition(args)
-        return suites.Chain("word", _word_rates(args, m, _parse_q(args.q)))
+        return Chain("word", _word_rates(args, m, _parse_q(args.q)))
     raise ConfigError(f"unknown space {space!r}")
+
+
+def _check_prime(p, what):
+    from .flags import is_prime
+
+    if not is_prime(p):
+        raise ConfigError(f"{what} is not prime")
 
 
 def _emit(args, text):
@@ -173,10 +176,15 @@ def cmd_stationary(args) -> int:
         if method == "formula":
             methods["formula"] = chain.formula().normalized()
         elif method == "oracle":
+            from .stationary import stationary_oracle
+
             methods["oracle"] = stationary_oracle(chain.operator(), rates.total())
         elif method == "semigroup":
             if rates.total() != 1:
                 raise ConfigError("--method semigroup requires rates summing to 1")
+            from .flags import enumerate_flags, rcayley_stationary
+            from .stationary import StationaryVector
+
             flags = enumerate_flags(rates.n, chain.p)
             values = tuple(rcayley_stationary(rates, chain.p, f) for f in flags)
             methods["semigroup"] = StationaryVector(tuple(flags), values)
@@ -221,6 +229,8 @@ def cmd_spectrum(args) -> int:
     failed = False
     payload = {"catalog": rows}
     if args.verify:
+        from .spectra import verify_annihilation, verify_multiplicities
+
         op = chain.operator()
         report = verify_multiplicities(op, catalog)
         annihilates = verify_annihilation(op, catalog)
@@ -241,8 +251,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_lump_check(args) -> int:
-    if args.p is not None and not is_prime(args.p):
-        raise ConfigError(f"--p {args.p} is not prime")
+    if args.p is not None:
+        _check_prime(args.p, f"--p {args.p}")
     m = _parse_composition(args) if args.m is not None else None
     if args.q is not None and m is None:
         raise ConfigError("only the word diagrams read --q; give --m or omit --q")
@@ -251,6 +261,8 @@ def cmd_lump_check(args) -> int:
             "one --rates list cannot serve both: the flag diagrams take --n rates "
             "and the word diagrams take one rate per part of --m; give --p or --m"
         )
+    from .lumping import check_commuting, map_rates_word_to_perm
+
     results = {}
     if args.p is not None:
         if args.n is None:
@@ -285,13 +297,18 @@ def cmd_verify(args) -> int:
     except ValueError as e:
         raise ConfigError(f"bad --p {args.p!r}: {e}")
     for k, p in enumerate(p_list):
-        if not is_prime(p):
-            raise ConfigError(f"--p entry {p} is not prime")
+        _check_prime(p, f"--p entry {p}")
         if p in p_list[:k]:
             raise ConfigError(f"--p lists the prime {p} twice; give each prime once")
-    checks = suites.run_suite(args.suite, n_max=n_max, p_list=p_list, seed=args.seed)
+    from .suites import run_suite
+
+    checks = run_suite(args.suite, n_max=n_max, p_list=p_list, seed=args.seed)
     if not checks:
-        raise ConfigError(f"suite {args.suite!r} has no checks at --n-max {n_max}")
+        why = f"suite {args.suite!r} has no checks at --n-max {n_max}"
+        # The smallest flag space, n = 2 over F_p, has p + 1 flags.
+        if min(p_list) + 1 > FLAG_STATE_CAP:
+            why += f": every flag space over --p {args.p} has more than FLAG_STATE_CAP = {FLAG_STATE_CAP} states"
+        raise ConfigError(why)
     width = max(len(name) for name, _ in checks)
     for name, ok in checks:
         print(f"{'PASS' if ok else 'FAIL'}  {name:<{width}}")
@@ -347,7 +364,7 @@ def build_parser():
     sp.set_defaults(func=cmd_lump_check)
 
     sp = sub.add_parser("verify", help="run the verification suite")
-    sp.add_argument("--suite", default="all", choices=suites.SUITES)
+    sp.add_argument("--suite", default="all", choices=SUITES)
     sp.add_argument("--n-max", type=int, dest="n_max", help="default 3; the matrix suite does not read it")
     sp.add_argument("--p", help="comma-separated primes, default 2,3")
     sp.add_argument("--seed", type=int, default=0)

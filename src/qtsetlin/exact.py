@@ -12,8 +12,11 @@ or gcd per result.  Every state-indexed matrix of the package is assembled by
 Elimination is fraction-free: the integer rows, each divided by its gcd, are
 reduced by cross-multiplication followed by a gcd division, so intermediate
 entries stay no larger than the corresponding minors.
+
+`record` makes the package's other value types.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -43,6 +46,33 @@ def format_rational(x: Fraction) -> str:
 def parse_rational(s: str) -> Fraction:
     """Inverse of format_rational (also accepts integer strings)."""
     return Fraction(s.strip())
+
+
+class _Frozen:
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def record(name, fields, defaults=()):
+    """Base class of an immutable value type with the given fields, as a
+    frozen dataclass would have it: equal only to an instance of the same
+    class with equal fields, hashed as the tuple of its fields and shown as
+    `Name(field=value, ...)`.  A subclass has a `__dict__`, for
+    `cached_property`."""
+    return type(name, (_Frozen, namedtuple(name, fields, defaults=defaults)), {"__slots__": ()})
 
 
 class Matrix:

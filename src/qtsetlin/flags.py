@@ -29,13 +29,12 @@ tuple of column codes; `insert_line` stays as its independent reference.
 
 import bisect
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
 
 from .combinatorics import perm_states
-from .exact import integer_numerators, state_matrix
+from .exact import integer_numerators, record, state_matrix
 from .hecke_chains import LinearOperator, PermRates, _shuffle_operator
 
 __all__ = [
@@ -88,12 +87,8 @@ def _inv_mod(a: int, p: int) -> int:
     return pow(a, p - 2, p)
 
 
-@dataclass(frozen=True)
-class Line:
+class Line(record("Line", "lead tail")):
     """Line <e_i + sum_{k>i} c_k e_k>: lead index i (1-based) plus the tail c."""
-
-    lead: int
-    tail: tuple
 
     def vector(self, n: int) -> tuple:
         v = [0] * n
@@ -118,13 +113,9 @@ def line_weight(line: Line, rates: PermRates) -> Fraction:
     return rates.y(line.lead)
 
 
-@dataclass(frozen=True)
-class FlagRep:
+class FlagRep(record("FlagRep", "cols p")):
     """Canonical coset representative; cols[j] spans V_{j+1} together with
     the earlier columns."""
-
-    cols: tuple
-    p: int
 
     @property
     def n(self):
@@ -396,13 +387,8 @@ def span_basis(vectors, p):
     return _canonical_columns(lowest_first, p)[0][::-1]
 
 
-@dataclass(frozen=True)
-class PartialFlag:
+class PartialFlag(record("PartialFlag", "chain n p")):
     """Strictly increasing chain of subspaces, each a reduced echelon basis."""
-
-    chain: tuple
-    n: int
-    p: int
 
     @classmethod
     def from_vectors(cls, vector_chains, n, p):

@@ -30,14 +30,16 @@ the weights' lcm d, over the denominator qd^(n-1) d.  The word chain uses
 it with `_act`, the flag chain (`flags.transition_matrix_flags_hecke`) with
 the coset action (qd = 1).  `_shuffle_sum` keeps the product form, a sum of
 products of generator matrices, as an independent oracle.
+
+`Chain` is the one handle on a chain of any of the three spaces.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import factorial
 
-from .combinatorics import q_int, word_states
-from .exact import Matrix, integer_numerators, mat_mul, state_matrix
+from .combinatorics import q_factorial, q_int, word_states
+from .exact import Matrix, integer_numerators, mat_mul, record, state_matrix
 
 __all__ = [
     "PermRates",
@@ -49,21 +51,15 @@ __all__ = [
     "weight_op_word",
     "transition_matrix_perm",
     "transition_matrix_word",
+    "Chain",
 ]
 
 
-@dataclass(frozen=True)
-class WordRates:
+class WordRates(record("WordRates", "q xbar m")):
     """Rates for the word chain: one weight per letter and the content m."""
 
-    q: Fraction
-    xbar: tuple
-    m: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", Fraction(self.q))
-        object.__setattr__(self, "xbar", tuple(Fraction(v) for v in self.xbar))
-        object.__setattr__(self, "m", tuple(int(v) for v in self.m))
+    def __new__(cls, q, xbar, m):
+        self = super().__new__(cls, Fraction(q), tuple(Fraction(v) for v in xbar), tuple(int(v) for v in m))
         if self.q == 0:
             raise ValueError("q must be nonzero")
         if len(self.xbar) != len(self.m):
@@ -72,6 +68,7 @@ class WordRates:
             raise ValueError("content parts must be positive")
         if any(q_int(part, self.q) == 0 for part in self.m):
             raise ValueError(f"q = {self.q} makes [m_j]_q vanish for a part of m = {self.m}")
+        return self
 
     @property
     def n(self):
@@ -114,8 +111,11 @@ class WordRates:
 class PermRates(WordRates):
     """Rates x_i for the permutation chain: the word rates at content (1^n)."""
 
-    def __init__(self, q, x):
-        super().__init__(q, x, (1,) * len(x))
+    def __new__(cls, q, x):
+        return super().__new__(cls, q, x, (1,) * len(x))
+
+    def __getnewargs__(self):
+        return self.q, self.xbar
 
     @property
     def x(self):
@@ -126,16 +126,13 @@ class PermRates(WordRates):
         return self.xbar[i - 1] / self.q ** (self.n - i)
 
 
-@dataclass(frozen=True)
-class LinearOperator:
+class LinearOperator(record("LinearOperator", "states matrix")):
     """Square matrix together with its ordered state index."""
 
-    states: tuple
-    matrix: Matrix
-
-    def __post_init__(self):
-        if self.matrix.rows != self.matrix.cols or self.matrix.rows != len(self.states):
+    def __new__(cls, states, matrix):
+        if matrix.rows != matrix.cols or matrix.rows != len(states):
             raise ValueError("operator matrix must be square over the state index")
+        return super().__new__(cls, states, matrix)
 
     def index(self):
         return {s: i for i, s in enumerate(self.states)}
@@ -237,3 +234,66 @@ def transition_matrix_word(rates: WordRates) -> LinearOperator:
         states, lambda u, i: _act(u, i, qn, qd), rates.n, qd, lambda t: ybar[t[0] - 1]
     )
     return LinearOperator(states, matrix)
+
+
+# The suites that `suites.run_suite` runs, and the flag cap of `Chain.fits`:
+# here, so that the CLI reads them without loading `suites`.
+SUITES = ("all", "matrix", "stationary", "spectra", "lumping", "hecke", "q1-reduction", "properties")
+
+FLAG_STATE_CAP = 400
+
+
+class Chain(record("Chain", "space rates p", defaults=(None,))):
+    """One chain: its space ("perm", "word" or "flag"), its rates and, for
+    flags, the prime p (the rates carry q = p); the one handle on a chain
+    that the CLI and the suites build from.  Each method imports the builder
+    of its space and reads it off the builder's module at call time, so a
+    command loads only the layers it runs."""
+
+    @property
+    def name(self):
+        """The prefix of the chain's check names."""
+        if self.space == "word":
+            return f"word m={self.rates.m}"
+        if self.space == "flag":
+            return f"flag n={self.rates.n} p={self.p}"
+        return f"perm n={self.rates.n}"
+
+    def size(self):
+        """The state count from its closed form, before any enumeration:
+        the multinomial coefficient of the content (n! for perm), or [n]_p!."""
+        if self.space == "flag":
+            return int(q_factorial(self.rates.n, self.p))
+        size = factorial(self.rates.n)
+        for part in self.rates.m:
+            size //= factorial(part)
+        return size
+
+    def fits(self, cap=FLAG_STATE_CAP):
+        """Whether the chain has at most cap states; every cap is checked here."""
+        return cap is None or self.size() <= cap
+
+    def _build(self, perm, word, flags):
+        if self.space == "flag":
+            return flags(self.rates, self.p)
+        return (perm if self.space == "perm" else word)(self.rates)
+
+    def operator(self):
+        """The transition matrix."""
+        if self.space == "flag":
+            from .flags import transition_matrix_flags
+
+            return transition_matrix_flags(self.rates, self.p)
+        return self._build(transition_matrix_perm, transition_matrix_word, None)
+
+    def formula(self):
+        """The closed-form stationary vector."""
+        from .stationary import stationary_flags_formula, stationary_perm_formula, stationary_word_formula
+
+        return self._build(stationary_perm_formula, stationary_word_formula, stationary_flags_formula)
+
+    def catalog(self):
+        """The eigenvalue catalog with its predicted multiplicities."""
+        from .spectra import eigen_catalog_flags, eigen_catalog_perm, eigen_catalog_word
+
+        return self._build(eigen_catalog_perm, eigen_catalog_word, eigen_catalog_flags)

@@ -8,10 +8,11 @@ matrices on the right and an inclusion on the left:
 
     T_flags . P  = P . T_perm          J . T_flags = T_perm . J
     T_perm  . Pw = Pw . T_word         Jw . T_perm = T_word . Jw
+
+The flag maps import `flags` when they run, so the word diagrams do not load it.
 """
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -24,8 +25,7 @@ from .combinatorics import (
     standardize,
     word_states,
 )
-from .exact import Matrix, mat_mul, state_matrix
-from .flags import _flag_states, coset_to_perm, transition_matrix_flags
+from .exact import mat_mul, record, state_matrix
 from .hecke_chains import (
     PermRates,
     WordRates,
@@ -49,22 +49,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IntertwinerMatrix:
-    matrix: Matrix
-    source_states: tuple
-    target_states: tuple
-    kind: str  # "projection" | "inclusion"
+class IntertwinerMatrix(record("IntertwinerMatrix", "matrix source_states target_states kind")):
+    """A state-indexed map between two spaces; kind is "projection" or "inclusion"."""
 
 
 # One-entry memo: the two flag diagrams of one (rates, p) build it once.
 @lru_cache(maxsize=1)
 def _flag_matrix(rates, p):
+    from .flags import transition_matrix_flags
+
     return transition_matrix_flags(rates, p).matrix
 
 
 def proj_flags_to_perms(n: int, p: int) -> IntertwinerMatrix:
     """0/1 matrix sending each coset to its double-coset permutation."""
+    from .flags import _flag_states, coset_to_perm
+
     flags = _flag_states(n, p)
     perms = tuple(perm_states(n))
     m = state_matrix(flags, perms, lambda f: ((coset_to_perm(f), 1),))
@@ -74,6 +74,8 @@ def proj_flags_to_perms(n: int, p: int) -> IntertwinerMatrix:
 def incl_perms_to_flags(n: int, p: int) -> IntertwinerMatrix:
     """Each permutation spreads over its double coset with coefficient
     q^inv(pi)."""
+    from .flags import _flag_states, coset_to_perm
+
     flags = _flag_states(n, p)
     perms = tuple(perm_states(n))
     cosets = {perm: [] for perm in perms}

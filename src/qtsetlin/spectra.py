@@ -23,7 +23,6 @@ Nothing is modular or randomized.
 """
 
 import random
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -36,8 +35,7 @@ from .combinatorics import (
     q_derangement,
     q_int,
 )
-from .exact import Matrix, format_rational, rank_nullity, shift
-from .flags import _check_rates
+from .exact import Matrix, format_rational, rank_nullity, record, shift
 from .hecke_chains import LinearOperator, PermRates, WordRates
 
 __all__ = [
@@ -53,14 +51,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EigenEntry:
+class EigenEntry(record("EigenEntry", "label value multiplicity")):
     """label: subset of [n] as a decreasing tuple, or a weak composition for
     the word chain; multiplicity may be zero."""
-
-    label: tuple
-    value: Fraction
-    multiplicity: int
 
 
 def upper_set_eigenvalue(a, rates: WordRates) -> Fraction:
@@ -101,6 +94,8 @@ def eigen_catalog_flags(rates: PermRates, p: int):
     """The labels and values of `eigen_catalog_perm`; multiplicity
     d_{n-k}(q) q^((n - i_1) + (n-1 - i_2) + ... + (n-k+1 - i_k)), and 1 for
     the full subset.  Multiplicities sum to the number of flags."""
+    from .flags import _check_rates
+
     _check_rates(rates, p)
     n = rates.n
     out = []
@@ -114,7 +109,7 @@ def eigen_catalog_flags(rates: PermRates, p: int):
             if value.denominator != 1:
                 raise ValueError("flag multiplicity is not an integer")
             mult = int(value)
-        out.append(replace(e, multiplicity=mult))
+        out.append(e._replace(multiplicity=mult))
     return out
 
 
@@ -133,11 +128,8 @@ def merge_catalog(entries):
     ]
 
 
-@dataclass(frozen=True)
-class MultiplicityReport:
-    entries: tuple  # (labels, value, predicted, computed, ok)
-    dimension: int
-    total_predicted: int
+class MultiplicityReport(record("MultiplicityReport", "entries dimension total_predicted")):
+    """entries: (labels, value, predicted, computed, ok) per merged value."""
 
     @property
     def dimension_ok(self):

@@ -29,13 +29,11 @@ first prefix that has one and names the first word below it, the same word
 and k the per-word product reports; numerators that vanish do not stop it.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .combinatorics import inv, perm_states, q_factorial, state_key
-from .exact import _combine_rows, format_rational, integer_numerators, left_null_space, shift
-from .flags import _check_rates, coset_to_perm, enumerate_flags
+from .exact import _combine_rows, format_rational, integer_numerators, left_null_space, record, shift
 from .hecke_chains import LinearOperator, PermRates, WordRates
 
 __all__ = [
@@ -53,13 +51,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StationaryVector:
+class StationaryVector(record("StationaryVector", "states values")):
     """Left eigenvector with eigenvalue equal to the total rate, indexed by
-    the chain's ordered states."""
-
-    states: tuple
-    values: tuple
+    the chain's ordered states; `v[state]` is the value at a state."""
 
     @cached_property
     def _index(self):
@@ -257,6 +251,8 @@ def flag_coset_factors(perm, rates: PermRates):
 def stationary_flags_formula(rates: PermRates, p: int) -> StationaryVector:
     """Closed form over all flags; constant on each double coset, so it is
     evaluated once per permutation and spread over the coset."""
+    from .flags import _check_rates, coset_to_perm, enumerate_flags
+
     _check_rates(rates, p)
     n = rates.n
     per_perm = {}

@@ -1,6 +1,7 @@
 """
-Named verification suites behind `qtsetlin verify`, and `Chain`, the one
-handle on a chain that they and the CLI build from.
+Named verification suites behind `qtsetlin verify`, built from
+`hecke_chains.Chain`, the one handle on a chain (re-exported here, with
+`FLAG_STATE_CAP` and `SUITES`).
 
 Each suite returns (check name, passed) pairs; every check is an exact
 identity, so there are no tolerances anywhere.  Sizes are bounded by the
@@ -9,18 +10,9 @@ desk scale.
 """
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
-from .combinatorics import (
-    coinv,
-    derangement,
-    perm_states,
-    q_factorial,
-    q_int,
-    word_states,
-)
+from .combinatorics import coinv, derangement, perm_states, q_int, word_states
 from .exact import Matrix, mat_mul, shift, vec_mat
 from .flags import (
     PartialFlag,
@@ -28,16 +20,16 @@ from .flags import (
     hecke_generator_coset,
     rcayley_stationary,
     lrb_product,
-    transition_matrix_flags,
     transition_matrix_flags_hecke,
 )
 from .hecke_chains import (
+    FLAG_STATE_CAP,
+    SUITES,
+    Chain,
     PermRates,
     WordRates,
     hecke_generator_perm,
     hecke_generator_word,
-    transition_matrix_perm,
-    transition_matrix_word,
 )
 from .lumping import (
     check_commuting,
@@ -46,9 +38,6 @@ from .lumping import (
     proj_perms_to_words,
 )
 from .spectra import (
-    eigen_catalog_flags,
-    eigen_catalog_perm,
-    eigen_catalog_word,
     generic_perm_rates,
     generic_word_rates,
     verify_annihilation,
@@ -57,78 +46,12 @@ from .spectra import (
 from .stationary import (
     classical_tsetlin_stationary,
     flag_coset_factors,
-    stationary_flags_formula,
     stationary_oracle,
-    stationary_perm_formula,
-    stationary_word_formula,
     word_factors,
 )
 
-SUITES = (
-    "all",
-    "matrix",
-    "stationary",
-    "spectra",
-    "lumping",
-    "hecke",
-    "q1-reduction",
-    "properties",
-)
-
-FLAG_STATE_CAP = 400
 # The stationary suite runs the path method up to this many flags.
 FLAG_PATH_CAP = 60
-
-
-@dataclass(frozen=True)
-class Chain:
-    """One chain: its space ("perm", "word" or "flag"), its rates and, for
-    flags, the prime p (the rates carry q = p).  Each method calls the
-    builder of its space, looked up as a module global at call time."""
-
-    space: str
-    rates: WordRates
-    p: int = None
-
-    @property
-    def name(self):
-        """The prefix of the chain's check names."""
-        if self.space == "word":
-            return f"word m={self.rates.m}"
-        if self.space == "flag":
-            return f"flag n={self.rates.n} p={self.p}"
-        return f"perm n={self.rates.n}"
-
-    def size(self):
-        """The state count from its closed form, before any enumeration:
-        the multinomial coefficient of the content (n! for perm), or [n]_p!."""
-        if self.space == "flag":
-            return int(q_factorial(self.rates.n, self.p))
-        size = factorial(self.rates.n)
-        for part in self.rates.m:
-            size //= factorial(part)
-        return size
-
-    def fits(self, cap=FLAG_STATE_CAP):
-        """Whether the chain has at most cap states; every cap is checked here."""
-        return cap is None or self.size() <= cap
-
-    def _build(self, perm, word, flags):
-        if self.space == "flag":
-            return flags(self.rates, self.p)
-        return (perm if self.space == "perm" else word)(self.rates)
-
-    def operator(self):
-        """The transition matrix."""
-        return self._build(transition_matrix_perm, transition_matrix_word, transition_matrix_flags)
-
-    def formula(self):
-        """The closed-form stationary vector."""
-        return self._build(stationary_perm_formula, stationary_word_formula, stationary_flags_formula)
-
-    def catalog(self):
-        """The eigenvalue catalog with its predicted multiplicities."""
-        return self._build(eigen_catalog_perm, eigen_catalog_word, eigen_catalog_flags)
 
 
 def perm_chains(n_max, seed_of, q=None):
@@ -433,6 +356,8 @@ def _random_partial_flag(rng, n, p):
 
 
 def run_suite(name, n_max=3, p_list=(2, 3), seed=0):
+    if n_max < 2:
+        raise ValueError(f"n_max must be at least 2, got {n_max}; no suite checks a chain below n=2")
     runners = {
         "matrix": suite_matrix,
         "stationary": suite_stationary,

@@ -1,4 +1,4 @@
-"""`suites.Chain`, the one handle on a chain that the CLI and the suites use.
+"""`Chain`, the one handle on a chain that the CLI and the suites use.
 
 `Chain.size()` is the closed-form state count; it must equal the number of
 states each space enumerates.  Routing the suites through `Chain` must not
@@ -13,12 +13,13 @@ To re-record after an intended change of the suites' rates:
 """
 
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from qtsetlin import suites
+from qtsetlin import flags, hecke_chains, spectra, stationary, suites
 from qtsetlin.combinatorics import perm_states, word_states
 from qtsetlin.flags import enumerate_flags
 from qtsetlin.hecke_chains import PermRates, WordRates
@@ -26,33 +27,39 @@ from qtsetlin.suites import Chain, compositions
 
 REFERENCE = Path(__file__).resolve().parent / "golden" / "suite_rates_n4_p23.json"
 
-BUILDERS = [
-    "transition_matrix_perm",
-    "transition_matrix_word",
-    "transition_matrix_flags",
-    "stationary_perm_formula",
-    "stationary_word_formula",
-    "stationary_flags_formula",
-    "eigen_catalog_perm",
-    "eigen_catalog_word",
-    "eigen_catalog_flags",
-]
+# Each builder `Chain` calls, with the module `Chain` reads it from.
+BUILDERS = {
+    "transition_matrix_perm": hecke_chains,
+    "transition_matrix_word": hecke_chains,
+    "transition_matrix_flags": flags,
+    "stationary_perm_formula": stationary,
+    "stationary_word_formula": stationary,
+    "stationary_flags_formula": stationary,
+    "eigen_catalog_perm": spectra,
+    "eigen_catalog_word": spectra,
+    "eigen_catalog_flags": spectra,
+}
+CHAIN_CODE = {f.__code__ for f in vars(Chain).values() if hasattr(f, "__code__")}
 
 
 def record_rates(monkeypatch, suite):
     """Every (builder, rates, p) at which `suite` builds an operator, closed
-    form or catalog, as sorted strings."""
+    form or catalog through `Chain`, as sorted strings.  `Chain` reads each
+    builder off its home module, where it is patched; calls from elsewhere
+    (a perm builder calling its word version, `check_commuting`) are not
+    recorded."""
     seen = set()
-    for name in BUILDERS:
-        original = getattr(suites, name)
+    for name, home in BUILDERS.items():
+        original = getattr(home, name)
 
         def recording(rates, p=None, _name=name, _original=original):
-            xbar = ",".join(str(x) for x in rates.xbar)
-            m = ",".join(str(v) for v in rates.m)
-            seen.add(f"{_name} q={rates.q} xbar={xbar} m={m} p={p}")
+            if sys._getframe(1).f_code in CHAIN_CODE:
+                xbar = ",".join(str(x) for x in rates.xbar)
+                m = ",".join(str(v) for v in rates.m)
+                seen.add(f"{_name} q={rates.q} xbar={xbar} m={m} p={p}")
             return _original(rates) if p is None else _original(rates, p)
 
-        monkeypatch.setattr(suites, name, recording)
+        monkeypatch.setattr(home, name, recording)
     checks = suites.run_suite(suite, n_max=4, p_list=(2, 3), seed=0)
     assert all(ok for _, ok in checks)
     return sorted(seen)
@@ -62,6 +69,13 @@ def record_rates(monkeypatch, suite):
 def test_suites_build_at_the_recorded_rates(suite, monkeypatch):
     reference = json.loads(REFERENCE.read_text())[suite]
     assert record_rates(monkeypatch, suite) == reference
+
+
+@pytest.mark.parametrize("suite", suites.SUITES)
+@pytest.mark.parametrize("n_max", [1, 0, -3])
+def test_run_suite_refuses_n_max_below_2(suite, n_max):
+    with pytest.raises(ValueError, match="n_max must be at least 2"):
+        suites.run_suite(suite, n_max=n_max)
 
 
 def uniform(n, q):

@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtsetlin import suites
+from qtsetlin import flags, suites
 from qtsetlin.cli import main
 from qtsetlin.combinatorics import q_factorial
 from qtsetlin.flags import PRIME_TEST_BOUND
@@ -203,14 +203,14 @@ class TestVerify:
 
     def test_properties_suite_builds_no_flag_space_over_the_cap(self, capsys, monkeypatch):
         built = []
-        original = suites.transition_matrix_flags
+        original = flags.transition_matrix_flags
 
         def capped(rates, p):
             assert q_factorial(rates.n, p) <= suites.FLAG_STATE_CAP, f"built flags n={rates.n} p={p}"
             built.append((rates.n, p))
             return original(rates, p)
 
-        monkeypatch.setattr(suites, "transition_matrix_flags", capped)
+        monkeypatch.setattr(flags, "transition_matrix_flags", capped)
         code, out, _ = run(capsys, "verify", "--suite", "properties", "--n-max", "3", "--p", "13")
         assert code == 0
         assert built == [(2, 13)] * len(built) and 0 < len(built) < 5
@@ -326,6 +326,13 @@ class TestConfigErrors:
         code, _, err = run(capsys, *argv.split())
         assert code == 2
         assert name in err
+
+    def test_empty_suite_names_the_flag_cap_when_it_is_the_cause(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "lumping", "--n-max", "2", "--p", "401")
+        assert code == 2 and out == ""
+        assert f"every flag space over --p 401 has more than FLAG_STATE_CAP = {suites.FLAG_STATE_CAP} states" in err
+        code, out, _ = run(capsys, "verify", "--suite", "lumping", "--n-max", "2", "--p", "397")
+        assert code == 0 and "flags-perms-proj commutes (n=2, p=397)" in out
 
     @pytest.mark.parametrize("value", ["x", "2,y", "3.5"])
     def test_unparsable_p_is_named(self, capsys, value):
