@@ -182,12 +182,12 @@ def cmd_stationary(args) -> int:
         elif method == "semigroup":
             if rates.total() != 1:
                 raise ConfigError("--method semigroup requires rates summing to 1")
-            from .flags import enumerate_flags, rcayley_stationary
+            from .flags import _flag_states, rcayley_stationary
             from .stationary import StationaryVector
 
-            flags = enumerate_flags(rates.n, chain.p)
+            flags = _flag_states(rates.n, chain.p)
             values = tuple(rcayley_stationary(rates, chain.p, f) for f in flags)
-            methods["semigroup"] = StationaryVector(tuple(flags), values)
+            methods["semigroup"] = StationaryVector(flags, values)
     if args.method != "all":
         _emit_vector(args, next(iter(methods.values())))
         return 0

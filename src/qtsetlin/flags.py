@@ -10,21 +10,22 @@ pivot is its topmost nonzero entry and pivot rows vanish in later columns).
 Column operations only ever add earlier columns to later ones or rescale, so
 they never change the chain of column spans.
 
-`_canonical_columns` is the one F_p elimination.  Subspaces of partial
-flags are its columns with every pivot row cleared (reduced echelon bases, so
-subspace equality is tuple equality), and the path method reads the step at
-which each line enters a flag off the flag's canonical columns.
+All F_p vector arithmetic runs on `_VectorCodes`, one per (n, p), on
+vectors coded as ints, through two walks: `reduce` to canonical columns (for
+coset representatives, `insert_line`, the coset action and the subspaces of
+partial flags, which are canonical columns with every pivot row cleared, so
+subspace equality is tuple equality) and `entry_step`, the step at which a
+vector enters a flag (for the path method).  Codes are decoded only where a
+`FlagRep` or a basis is returned.
 
 `insert_line` re-canonicalizes the whole flag with the line in front; the
-line-insertion table (`_insertion_table`) does not.  A canonical column c_k
-is the unique normalized vector of c_k + V_{k-1} that vanishes on the lead
-rows of V_{k-1}.  Inserting v with entry step j (the least j with v in V_j)
-leaves V_{k-1} unchanged for every k > j, so the new flag's columns are the
+line-insertion table does not.  A canonical column c_k is the unique
+normalized vector of c_k + V_{k-1} that vanishes on the lead rows of
+V_{k-1}.  Inserting v with entry step j (the least j with v in V_j) leaves
+V_{k-1} unchanged for every k > j, so the new flag's columns are the
 canonical columns of (v, c_1, ..., c_{j-1}) followed by c_{j+1}, ..., c_n as
-they are.  The table runs this on vectors coded as ints in [0, p^n), with
-x - c*y and the lead row and normalization of x memoized as they are met
-while the table of one (n, p) is built, and looks the targets up by the
-tuple of column codes; `insert_line` stays as its independent reference.
+they are; c_j is the first column that reducing (v, c_1, ..., c_n) drops, so
+the table stops there.  `insert_line` stays as its reference.
 """
 
 import bisect
@@ -83,10 +84,6 @@ def _check_prime(p):
         raise ValueError(f"field size {p} is not prime")
 
 
-def _inv_mod(a: int, p: int) -> int:
-    return pow(a, p - 2, p)
-
-
 class Line(record("Line", "lead tail")):
     """Line <e_i + sum_{k>i} c_k e_k>: lead index i (1-based) plus the tail c."""
 
@@ -129,44 +126,117 @@ class FlagRep(record("FlagRep", "cols p")):
         return "|".join(sep.join(str(a) for a in row) for row in self.rows())
 
 
-def _canonical_columns(cols, p):
-    """Column-reduce to canonical form; dependent columns drop out.
+class _Memo(dict):
+    """Dict that fills a missing key with `fill(key)` and keeps it."""
 
-    Returns the columns in input order and the (pivot row, column) pairs
-    sorted by pivot row.  Sweeping the placed pivot rows from top to bottom
-    suffices, because clearing a pivot row only disturbs the rows below it.
-    """
-    out = []
-    placed = []
-    for col in cols:
-        col = [a % p for a in col]
-        for row, ocol in placed:
-            c = col[row]
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+class _VectorCodes:
+    """F_p^n with each vector coded as the int sum_r v[r] p^(n-1-r) in
+    [0, p^n).  Entry r of code x is x // weights[r] % p.  `minus[x, c, y]`
+    is the code of x - c*y and `pivot[x]` is (lead row, code of x scaled so
+    its lead entry is 1), both filled on first use."""
+
+    def __init__(self, n, p):
+        self.p = p
+        self.weights = tuple(p ** (n - 1 - r) for r in range(n))
+        self.minus = _Memo(self._minus)
+        self.pivot = _Memo(self._pivot)
+
+    def encode(self, v) -> int:
+        x = 0
+        for a in v:
+            x = x * self.p + a % self.p
+        return x
+
+    def decode(self, x) -> tuple:
+        return tuple(x // w % self.p for w in self.weights)
+
+    def _minus(self, key):
+        x, c, y = key
+        return self.encode([a - c * b for a, b in zip(self.decode(x), self.decode(y))])
+
+    def _pivot(self, x):
+        v = self.decode(x)
+        lead = next(r for r, a in enumerate(v) if a)
+        s = pow(v[lead], self.p - 2, self.p)
+        return lead, self.encode([a * s for a in v])
+
+    def reduce(self, cols, stop=False):
+        """Column-reduce codes to canonical form; dependent columns drop out,
+        or with `stop` the walk ends at the first of them.
+
+        Returns the columns in input order and the (pivot row, column) pairs
+        sorted by pivot row.  Sweeping the placed pivot rows from top to
+        bottom suffices, because clearing a pivot row only disturbs the rows
+        below it.
+        """
+        p, weights, minus, pivot = self.p, self.weights, self.minus, self.pivot
+        out, placed = [], []
+        for col in cols:
+            for row, other in placed:
+                c = col // weights[row] % p
+                if c:
+                    col = minus[col, c, other]
+            if col:
+                lead, col = pivot[col]
+                out.append(col)
+                bisect.insort(placed, (lead, col))
+            elif stop:
+                break
+        return out, placed
+
+    def entry_step(self, cols, leads, v) -> int:
+        """The least j with v in V_j (0 for v = 0), for the column codes of
+        a complete canonical flag and their pivot rows.
+
+        v is reduced against the columns in order, each at its pivot row.  A
+        column vanishes at the pivot rows of the earlier columns, so this
+        writes v in the column basis, and V_j holds v exactly when every
+        coefficient after column j is zero.
+        """
+        p, weights, minus = self.p, self.weights, self.minus
+        for j, (col, lead) in enumerate(zip(cols, leads), start=1):
+            c = v // weights[lead] % p
             if c:
-                col = [(a - c * b) % p for a, b in zip(col, ocol)]
-        lead = next((r for r, a in enumerate(col) if a), None)
-        if lead is None:
-            continue
-        s = _inv_mod(col[lead], p)
-        col = tuple([(a * s) % p for a in col])
-        out.append(col)
-        bisect.insort(placed, (lead, col))
-    return tuple(out), tuple(placed)
+                v = minus[v, c, col]
+                if not v:
+                    return j
+        return 0
+
+
+# One per (n, p): the memos carry over between the calls on a space.
+@lru_cache(maxsize=8)
+def _vector_codes(n, p):
+    return _VectorCodes(n, p)
+
+
+def _flag_codes(flag: FlagRep):
+    codes = _vector_codes(flag.n, flag.p)
+    return codes, [codes.encode(col) for col in flag.cols]
+
+
+def _decoded_flag(codes, cols) -> FlagRep:
+    return FlagRep(tuple(map(codes.decode, cols)), codes.p)
 
 
 def canonicalize_coset(rows, p: int) -> FlagRep:
     """Canonical representative of the coset of an invertible matrix
     (given as rows)."""
     _check_prime(p)
-    cols = tuple(zip(*rows))
-    out, _ = _canonical_columns(cols, p)
+    codes = _vector_codes(len(rows), p)
+    cols = [codes.encode(col) for col in zip(*rows)]
+    out, _ = codes.reduce(cols)
     if len(out) != len(cols):
         raise ValueError("matrix is singular")
-    return FlagRep(out, p)
-
-
-def _canonical_flag(cols, p) -> FlagRep:
-    return FlagRep(_canonical_columns(cols, p)[0], p)
+    return _decoded_flag(codes, out)
 
 
 def coset_to_perm(flag: FlagRep) -> tuple:
@@ -212,87 +282,24 @@ def _flag_states(n, p):
 def insert_line(flag: FlagRep, line: Line) -> FlagRep:
     """Prepend the line as a new first column and re-canonicalize; the
     dependent column drops out, leaving the flag with the line in front."""
-    cols = (line.vector(flag.n),) + flag.cols
-    result = _canonical_flag(cols, flag.p)
-    if result.n != flag.n:
+    codes, cols = _flag_codes(flag)
+    out, _ = codes.reduce([codes.encode(line.vector(flag.n)), *cols])
+    if len(out) != flag.n:
         raise ValueError("line insertion lost a dimension")
-    return result
+    return _decoded_flag(codes, out)
 
 
-class _Memo(dict):
-    """Dict that fills a missing key with `fill(key)` and keeps it."""
-
-    def __init__(self, fill):
-        super().__init__()
-        self.fill = fill
-
-    def __missing__(self, key):
-        value = self[key] = self.fill(key)
-        return value
-
-
-class _VectorCodes:
-    """F_p^n with each vector coded as the int sum_r v[r] p^(n-1-r) in
-    [0, p^n).  Entry r of code x is x // weights[r] % p.  `minus[x, c, y]`
-    is the code of x - c*y and `pivot[x]` is (lead row, code of x scaled so
-    its lead entry is 1), both filled on first use."""
-
-    def __init__(self, n, p):
-        self.p = p
-        self.weights = tuple(p ** (n - 1 - r) for r in range(n))
-        self.minus = _Memo(self._minus)
-        self.pivot = _Memo(self._pivot)
-
-    def encode(self, v) -> int:
-        x = 0
-        for a in v:
-            x = x * self.p + a % self.p
-        return x
-
-    def decode(self, x) -> tuple:
-        return tuple(x // w % self.p for w in self.weights)
-
-    def _minus(self, key):
-        x, c, y = key
-        return self.encode([a - c * b for a, b in zip(self.decode(x), self.decode(y))])
-
-    def _pivot(self, x):
-        v = self.decode(x)
-        lead = next(r for r, a in enumerate(v) if a)
-        s = _inv_mod(v[lead], self.p)
-        return lead, self.encode([a * s for a in v])
-
-
-def _insert_coded(codes, cols, leads, v):
+def _insert_coded(codes, cols, v):
     """Column codes of the flag that inserting the line of code v in front
-    of the canonical flag with column codes `cols` gives; leads[k] is the
-    pivot row of cols[k].
+    of the canonical flag with column codes `cols` gives.
 
-    v is reduced against the columns as in `_entry_step`; at the entry step
-    j it vanishes and column j drops out.  Each earlier column is reduced
-    against the new pivots, exactly as `_canonical_columns` does on
-    (v, c_1, ..., c_{j-1}), and the later columns are kept as they are (see
-    the module docstring).
+    Reducing (v, c_1, ..., c_n) drops c_j first, at the entry step j of v:
+    the columns before it are the canonical columns of (v, c_1, ...,
+    c_{j-1}), and c_{j+1}, ..., c_n stay as they are (see the module
+    docstring), so the walk stops there.
     """
-    p, weights, minus, pivot = codes.p, codes.weights, codes.minus, codes.pivot
-    lead, v = pivot[v]
-    w = v
-    placed = [(lead, v)]
-    prefix = [v]
-    for k, col in enumerate(cols):
-        a = w // weights[leads[k]] % p
-        if a:
-            w = minus[w, a, col]
-            if not w:
-                return (*prefix, *cols[k + 1 :])
-        for row, other in placed:
-            c = col // weights[row] % p
-            if c:
-                col = minus[col, c, other]
-        lead, col = pivot[col]
-        bisect.insort(placed, (lead, col))
-        prefix.append(col)
-    raise ValueError("line insertion lost a dimension")
+    out, _ = codes.reduce((v, *cols), stop=True)
+    return (*out, *cols[len(out) :])
 
 
 @lru_cache(maxsize=8)
@@ -302,24 +309,23 @@ def _insertion_table(n, p):
     rates.  Flags are looked up by the tuple of their column codes."""
     states = _flag_states(n, p)
     lines = enumerate_lines(n, p)
-    codes = _VectorCodes(n, p)
-    flag_codes = [tuple(codes.encode(col) for col in f.cols) for f in states]
+    codes = _vector_codes(n, p)
+    flag_codes = [tuple(map(codes.encode, f.cols)) for f in states]
     index = {cols: k for k, cols in enumerate(flag_codes)}
     line_codes = [codes.encode(line.vector(n)) for line in lines]
-    targets = []
-    for cols in flag_codes:
-        leads = tuple(codes.pivot[col][0] for col in cols)
-        targets.append(tuple(index[_insert_coded(codes, cols, leads, v)] for v in line_codes))
+    targets = [tuple(index[_insert_coded(codes, cols, v)] for v in line_codes) for cols in flag_codes]
     return states, lines, targets
 
 
 def _act_coset(flag: FlagRep, i: int):
     """flag . T_i as (target, coeff) pairs: the column swap plus the p-1
-    lower-triangular corrections, every image re-canonicalized."""
+    lower-triangular corrections a + t*b = a - (p-t)*b, every image
+    re-canonicalized."""
+    codes, cols = _flag_codes(flag)
     p = flag.p
-    head, (a, b), tail = flag.cols[: i - 1], flag.cols[i - 1 : i + 1], flag.cols[i + 1 :]
-    pairs = [(b, a)] + [(tuple((x + t * y) % p for x, y in zip(a, b)), b) for t in range(1, p)]
-    return tuple((_canonical_flag(head + pair + tail, p), 1) for pair in pairs)
+    head, (a, b), tail = cols[: i - 1], cols[i - 1 : i + 1], cols[i + 1 :]
+    pairs = [(b, a)] + [(codes.minus[a, p - t, b], b) for t in range(1, p)]
+    return tuple((_decoded_flag(codes, codes.reduce([*head, *pair, *tail])[0]), 1) for pair in pairs)
 
 
 def hecke_generator_coset(i: int, n: int, p: int) -> LinearOperator:
@@ -383,8 +389,13 @@ def span_basis(vectors, p):
     each column's pivot then lies above every pivot placed before it, so the
     sweep clears all the other pivot rows and leaves every pivot in place.
     """
-    lowest_first = [col for _, col in reversed(_canonical_columns(vectors, p)[1])]
-    return _canonical_columns(lowest_first, p)[0][::-1]
+    vectors = list(vectors)
+    if not vectors:
+        return ()
+    codes = _vector_codes(len(vectors[0]), p)
+    _, placed = codes.reduce([codes.encode(v) for v in vectors])
+    out, _ = codes.reduce([col for _, col in reversed(placed)])
+    return tuple(map(codes.decode, reversed(out)))
 
 
 class PartialFlag(record("PartialFlag", "chain n p")):
@@ -410,29 +421,11 @@ def lrb_product(a: PartialFlag, b: PartialFlag) -> PartialFlag:
     return PartialFlag.from_vectors([*a.chain, *b.chain], a.n, a.p)
 
 
-def _entry_step(flag: FlagRep, v) -> int:
-    """The least j with v in V_j, for a canonical flag.
-
-    v is reduced against the columns in order, each at its pivot row (the
-    row of the column's first 1).  A column vanishes at the pivot rows of the
-    earlier columns, so this writes v in the column basis, and V_j holds v
-    exactly when every coefficient after column j is zero.
-    """
-    p = flag.p
-    v = list(v)
-    step = 0
-    for j, col in enumerate(flag.cols, start=1):
-        c = v[col.index(1)]
-        if c:
-            v = [(a - c * b) % p for a, b in zip(v, col)]
-            step = j
-    return step
-
-
 @lru_cache(maxsize=8)
-def _line_vectors(n, p):
-    """(lead, vector) of every line, in `enumerate_lines` order."""
-    return tuple((line.lead, line.vector(n)) for line in enumerate_lines(n, p))
+def _line_codes(n, p):
+    """(lead, code) of every line, in `enumerate_lines` order."""
+    codes = _vector_codes(n, p)
+    return tuple((line.lead, codes.encode(line.vector(n))) for line in enumerate_lines(n, p))
 
 
 def rcayley_stationary(rates: PermRates, p: int, flag: FlagRep) -> Fraction:
@@ -453,9 +446,11 @@ def rcayley_stationary(rates: PermRates, p: int, flag: FlagRep) -> Fraction:
         raise ValueError("the path method requires rates summing to 1")
     n = flag.n
     scale, ys = integer_numerators([rates.y(i) for i in range(1, n + 1)])
+    codes, cols = _flag_codes(flag)
+    leads = [col.index(1) for col in flag.cols]
     step_weight = [0] * (n + 1)
-    for lead, v in _line_vectors(n, p):
-        step_weight[_entry_step(flag, v)] += ys[lead - 1]
+    for lead, v in _line_codes(n, p):
+        step_weight[codes.entry_step(cols, leads, v)] += ys[lead - 1]
     den = scale**n
     stab = 0
     for j in range(1, n):

@@ -6,8 +6,9 @@ Each closed form is a product of explicit factors.  The factor lists are
 exposed separately (`word_factors`, `flag_coset_factors`) so that positivity
 can be asserted factor by factor and zero denominators can be reported
 eagerly, naming the state and the offending factor.  The permutation chain is
-the word chain at content (1^n), so `kappa_perm`, `perm_factors` and
-`stationary_perm_formula` delegate to their word versions.
+the word chain at content (1^n), so `kappa_word` and `word_factors` take
+`PermRates` as they are and `stationary_perm_formula` delegates to its word
+version.
 
 Each factor of a word w depends on little of it: the prefactor on inv(w), the
 k-th denominator on the content of w[:k-1], the k-th numerator on the content
@@ -38,9 +39,7 @@ from .hecke_chains import LinearOperator, PermRates, WordRates
 
 __all__ = [
     "StationaryVector",
-    "kappa_perm",
     "kappa_word",
-    "perm_factors",
     "word_factors",
     "flag_coset_factors",
     "stationary_perm_formula",
@@ -90,15 +89,10 @@ class StationaryVector(record("StationaryVector", "states values")):
         return {state_key(s): format_rational(v) for s, v in zip(self.states, self.values)}
 
 
-def kappa_perm(b, rates: PermRates) -> Fraction:
-    """Weighted prefix sum over the weakly decreasing sort of b:
-    sum_i x_{b_i} q^(i + b_i - k - 1); the empty tuple gives 0."""
-    return kappa_word(b, rates)
-
-
 def kappa_word(b, rates: WordRates) -> Fraction:
-    """Word analogue: sum_i xbar_{b_i} q^(i + n_{b_i} - k - 1) / [m_{b_i}]_q
-    on the weakly decreasing sort; empty tuple gives 0.
+    """Weighted prefix sum over the weakly decreasing sort of b:
+    sum_i xbar_{b_i} q^(i + n_{b_i} - k - 1) / [m_{b_i}]_q, which for
+    `PermRates` is sum_i x_{b_i} q^(i + b_i - k - 1); empty tuple gives 0.
 
     With c_j = xbar_j q^(n_j) / [m_j]_q this is sum_i c_{b_i} q^(i - k - 1),
     evaluated by Horner's rule in 1/q."""
@@ -108,12 +102,6 @@ def kappa_word(b, rates: WordRates) -> Fraction:
     for v in sorted(b, reverse=True):
         total = (total + c[v - 1]) * q_inv
     return total
-
-
-def perm_factors(perm, rates: PermRates):
-    """(prefactor, numerator factors, denominator factors) of the closed form
-    for one permutation."""
-    return word_factors(perm, rates)
 
 
 @lru_cache(maxsize=64)
@@ -251,7 +239,7 @@ def flag_coset_factors(perm, rates: PermRates):
 def stationary_flags_formula(rates: PermRates, p: int) -> StationaryVector:
     """Closed form over all flags; constant on each double coset, so it is
     evaluated once per permutation and spread over the coset."""
-    from .flags import _check_rates, coset_to_perm, enumerate_flags
+    from .flags import _check_rates, _flag_states, coset_to_perm
 
     _check_rates(rates, p)
     n = rates.n
@@ -259,7 +247,7 @@ def stationary_flags_formula(rates: PermRates, p: int) -> StationaryVector:
     for perm in perm_states(n):
         nums, dens = flag_coset_factors(perm, rates)
         per_perm[perm] = _product_of_factors(perm, nums, dens)
-    states = tuple(enumerate_flags(n, p))
+    states = _flag_states(n, p)
     return StationaryVector(states, tuple(per_perm[coset_to_perm(f)] for f in states))
 
 

@@ -49,7 +49,6 @@ from qtsetlin.spectra import (
 from qtsetlin.stationary import (
     classical_tsetlin_stationary,
     flag_coset_factors,
-    perm_factors,
     stationary_flags_formula,
     stationary_oracle,
     stationary_perm_formula,
@@ -338,7 +337,7 @@ def test_criterion_9_property_suite():
         for n in (2, 3, 4):
             rates = generic_perm_rates(n, seed=109 + n, q=F(rng.randint(2, 5), 2))
             for perm in perm_states(n):
-                pre, nums, dens = perm_factors(perm, rates)
+                pre, nums, dens = word_factors(perm, rates)
                 assert pre > 0 and all(v > 0 for v in nums) and all(v > 0 for v in dens)
         wrates = generic_word_rates((2, 2), seed=109, q=F(3, 2))
         for word in word_states((2, 2)):

@@ -1,15 +1,18 @@
-"""The subspace code of `flags` against the eliminations it replaced.
+"""The F_p kernel of `flags` against the code it replaced.
 
-`span_basis`, `lrb_product` and the path method `rcayley_stationary` all run
-on `_canonical_columns`.  The references below are the former versions: a
-span built by reducing each vector against a reduced echelon basis, a
-partial flag that spans every vector seen so far at each step, a product
-that spans the left factor's top with each step of the right one,
-and a path method that builds every prefix span of the flag and tests each
-line for containment prefix by prefix.  Each must agree with its reference
-result for result.
+Every flag operation runs on the int-coded `_VectorCodes`: its column
+reduction `reduce` and its entry-step walk `entry_step`.  The references
+below are the former versions: the tuple column reduction and the tuple
+entry step that the coded walks replaced, the coset action with its shear
+a + t*b taken entrywise on tuples, a span built by reducing each vector
+against a reduced echelon basis, a partial flag that spans every vector seen
+so far at each step, a product that spans the left factor's top with each
+step of the right one, and a path method that builds every prefix span of
+the flag and tests each line for containment prefix by prefix.  Each must
+agree with its reference result for result.
 """
 
+import bisect
 import itertools
 import random
 from fractions import Fraction as F
@@ -18,8 +21,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qtsetlin.flags import (
+    FlagRep,
     PartialFlag,
-    _entry_step,
+    _act_coset,
+    _flag_codes,
+    _vector_codes,
     enumerate_flags,
     enumerate_lines,
     line_weight,
@@ -30,6 +36,112 @@ from qtsetlin.flags import (
 from qtsetlin.hecke_chains import PermRates
 from qtsetlin.spectra import generic_perm_rates
 from qtsetlin.stationary import stationary_flags_formula
+
+
+# ---------------------------------------------------------------------------
+# The former tuple kernel, as it stood in `flags`
+
+
+def _inv_mod(a: int, p: int) -> int:
+    return pow(a, p - 2, p)
+
+
+def _canonical_columns(cols, p):
+    """Column-reduce to canonical form; dependent columns drop out.
+
+    Returns the columns in input order and the (pivot row, column) pairs
+    sorted by pivot row.  Sweeping the placed pivot rows from top to bottom
+    suffices, because clearing a pivot row only disturbs the rows below it.
+    """
+    out = []
+    placed = []
+    for col in cols:
+        col = [a % p for a in col]
+        for row, ocol in placed:
+            c = col[row]
+            if c:
+                col = [(a - c * b) % p for a, b in zip(col, ocol)]
+        lead = next((r for r, a in enumerate(col) if a), None)
+        if lead is None:
+            continue
+        s = _inv_mod(col[lead], p)
+        col = tuple([(a * s) % p for a in col])
+        out.append(col)
+        bisect.insort(placed, (lead, col))
+    return tuple(out), tuple(placed)
+
+
+def _entry_step(flag: FlagRep, v) -> int:
+    """The least j with v in V_j, for a canonical flag.
+
+    v is reduced against the columns in order, each at its pivot row (the
+    row of the column's first 1).  A column vanishes at the pivot rows of the
+    earlier columns, so this writes v in the column basis, and V_j holds v
+    exactly when every coefficient after column j is zero.
+    """
+    p = flag.p
+    v = list(v)
+    step = 0
+    for j, col in enumerate(flag.cols, start=1):
+        c = v[col.index(1)]
+        if c:
+            v = [(a - c * b) % p for a, b in zip(v, col)]
+            step = j
+    return step
+
+
+def reference_act_coset(flag, i):
+    p = flag.p
+    head, (a, b), tail = flag.cols[: i - 1], flag.cols[i - 1 : i + 1], flag.cols[i + 1 :]
+    pairs = [(b, a)] + [(tuple((x + t * y) % p for x, y in zip(a, b)), b) for t in range(1, p)]
+    return tuple((FlagRep(_canonical_columns(head + pair + tail, p)[0], p), 1) for pair in pairs)
+
+
+@st.composite
+def column_lists(draw):
+    """Columns over F_p with zero columns and combinations of earlier
+    columns mixed in, entries drawn from a range wider than [0, p)."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 11, 13)))
+    n = draw(st.integers(1, 5))
+    entry = st.integers(-p, 2 * p)
+    cols = []
+    for _ in range(draw(st.integers(0, n + 2))):
+        kind = draw(st.sampled_from(("zero", "free", "dependent")))
+        if kind == "zero":
+            cols.append((0,) * n)
+        elif kind == "dependent" and cols:
+            coeffs = [draw(entry) for _ in cols]
+            cols.append(tuple(sum(c * col[r] for c, col in zip(coeffs, cols)) for r in range(n)))
+        else:
+            cols.append(tuple(draw(entry) for _ in range(n)))
+    return n, p, cols
+
+
+@settings(max_examples=400, deadline=None)
+@given(column_lists())
+def test_coded_reduction_matches_tuple_reduction(case):
+    n, p, cols = case
+    codes = _vector_codes(n, p)
+    out, placed = codes.reduce([codes.encode(col) for col in cols])
+    want_out, want_placed = _canonical_columns(cols, p)
+    assert tuple(map(codes.decode, out)) == want_out
+    assert tuple((row, codes.decode(col)) for row, col in placed) == want_placed
+
+
+def test_span_of_nothing_is_empty():
+    assert span_basis([], 3) == ()
+    assert PartialFlag.from_vectors([], 2, 3).chain == ()
+
+
+@pytest.mark.parametrize("n, p", [(n, p) for n in (1, 2, 3) for p in (2, 3, 5)])
+def test_act_coset_matches_tuple_shear_on_every_flag(n, p):
+    for flag in enumerate_flags(n, p):
+        for i in range(1, n):
+            assert _act_coset(flag, i) == reference_act_coset(flag, i), (flag, i)
+
+
+# ---------------------------------------------------------------------------
+# Subspaces and the path method
 
 
 def _lead(v):
@@ -135,11 +247,17 @@ def _normalized_rates(n, p):
 def test_entry_step_is_the_first_prefix_holding_the_line(n, p):
     # The path value depends only on how many lines of each lead index enter
     # at each step, so it cannot tell some wrong entry steps from right ones.
+    # Every multiple of a line vector enters at the same step.
     for flag in enumerate_flags(n, p):
         prefixes = reference_prefixes(flag)
+        codes, cols = _flag_codes(flag)
+        leads = [col.index(1) for col in flag.cols]
         for line in enumerate_lines(n, p):
             v = line.vector(n)
-            assert _entry_step(flag, v) == reference_entry_step(prefixes, v, p), (flag, v)
+            step = reference_entry_step(prefixes, v, p)
+            assert _entry_step(flag, v) == step, (flag, v)
+            for c in range(1, p):
+                assert codes.entry_step(cols, leads, codes.encode([c * a for a in v])) == step, (flag, v, c)
 
 
 @pytest.mark.parametrize("n, p", [(1, 2), (2, 2), (3, 2), (4, 2), (3, 3), (3, 5)])

@@ -102,11 +102,11 @@ class TestCanonicalize:
     def test_reference_p3_reduction(self):
         # inserting line (1,1,0) into the p=3 flag reduces to the known form
         before = [[1, 0, 1, 0], [1, 1, 0, 0], [0, 1, 2, 1]]
-        cols = tuple(zip(*before))
-        from qtsetlin.flags import _canonical_columns
+        from qtsetlin.flags import _vector_codes
 
-        out, _ = _canonical_columns(cols, 3)
-        reduced = tuple(zip(*out))
+        codes = _vector_codes(3, 3)
+        out, _ = codes.reduce([codes.encode(col) for col in zip(*before)])
+        reduced = tuple(zip(*map(codes.decode, out)))
         assert reduced == ((1, 0, 0), (1, 1, 0), (0, 1, 1))
 
     def test_constant_on_cosets(self):

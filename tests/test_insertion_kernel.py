@@ -19,14 +19,14 @@ from qtsetlin import flags
 from qtsetlin.exact import Matrix, mat_mul
 from qtsetlin.flags import (
     Line,
-    _canonical_columns,
-    _entry_step,
     _insert_coded,
     _VectorCodes,
     _insertion_table,
+    _vector_codes,
     canonicalize_coset,
     insert_line,
 )
+from test_flag_kernel import _canonical_columns, _entry_step
 
 SPACES = [(n, p) for n in (1, 2, 3) for p in (2, 3, 5)] + [(2, 59), (2, 61), (4, 2), (4, 3)]
 
@@ -51,7 +51,9 @@ def test_memos_are_lazy(monkeypatch):
 
     monkeypatch.setattr(flags, "_VectorCodes", Recorded)
     _insertion_table.cache_clear()
+    _vector_codes.cache_clear()
     _insertion_table(2, 61)
+    _vector_codes.cache_clear()
     (codes,) = made
     assert 0 < len(codes.pivot) < 61**2 // 10
     assert 0 < len(codes.minus) < 61**4 // 100
@@ -88,9 +90,8 @@ def test_kernel_matches_insert_line(case):
     n, p = flag.n, flag.p
     codes = _VectorCodes(n, p)
     cols = tuple(codes.encode(col) for col in flag.cols)
-    leads = tuple(col.index(1) for col in flag.cols)
     expected = insert_line(flag, _line_of(v, p))
-    got = _insert_coded(codes, cols, leads, codes.encode(v))
+    got = _insert_coded(codes, cols, codes.encode(v))
     assert tuple(codes.decode(x) for x in got) == expected.cols
     j = _entry_step(flag, v)
     assert expected.cols[j:] == flag.cols[j:]

@@ -21,7 +21,7 @@ from qtsetlin.hecke_chains import (
     weight_op_word,
 )
 from qtsetlin.spectra import generic_perm_rates, generic_word_rates
-from qtsetlin.stationary import kappa_perm, kappa_word, perm_factors, word_factors
+from qtsetlin.stationary import kappa_word, word_factors
 
 
 @pytest.mark.parametrize("q", [F(1), F(2), F(5, 2), F(-3, 7)], ids=str)
@@ -38,9 +38,9 @@ def test_perm_chain_is_word_chain_at_content_ones(n, q):
     assert weight_op_perm(rates) == weight_op_word(wrates)
 
     for perm in perm_states(n):
-        assert perm_factors(perm, rates) == word_factors(perm, wrates)
+        assert word_factors(perm, rates) == word_factors(perm, wrates)
         for k in range(n + 1):
-            assert kappa_perm(perm[:k], rates) == kappa_word(perm[:k], wrates)
+            assert kappa_word(perm[:k], rates) == kappa_word(perm[:k], wrates)
 
     for seed in range(5):
         for sample_q in (None, q):

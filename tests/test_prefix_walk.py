@@ -16,7 +16,7 @@ from fractions import Fraction as F
 import pytest
 
 from qtsetlin.combinatorics import inv, perm_states, state_key, word_states
-from qtsetlin.flags import _entry_step, enumerate_flags, enumerate_lines, rcayley_stationary
+from qtsetlin.flags import enumerate_flags, enumerate_lines, rcayley_stationary
 from qtsetlin.hecke_chains import PermRates, WordRates
 from qtsetlin.spectra import generic_perm_rates
 from qtsetlin.stationary import (
@@ -27,6 +27,7 @@ from qtsetlin.stationary import (
     stationary_word_formula,
 )
 from qtsetlin.suites import compositions
+from test_flag_kernel import _entry_step
 
 QS = (F(2), F(1), F(5, 2), F(-3, 7))
 

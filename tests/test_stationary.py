@@ -18,9 +18,7 @@ from qtsetlin.spectra import generic_perm_rates, generic_word_rates
 from qtsetlin.stationary import (
     classical_tsetlin_stationary,
     flag_coset_factors,
-    kappa_perm,
     kappa_word,
-    perm_factors,
     stationary_flags_formula,
     stationary_oracle,
     stationary_perm_formula,
@@ -37,20 +35,20 @@ class TestKappa:
         for n in (2, 3, 5):
             rates = generic_perm_rates(n, seed=n)
             w0 = tuple(range(n, 0, -1))
-            assert kappa_perm(w0, rates) == rates.total()
+            assert kappa_word(w0, rates) == rates.total()
 
     def test_singleton(self):
         rates = generic_perm_rates(4, seed=0)
         for b in range(1, 5):
-            assert kappa_perm((b,), rates) == rates.x[b - 1] * rates.q ** (b - 1)
+            assert kappa_word((b,), rates) == rates.x[b - 1] * rates.q ** (b - 1)
 
     def test_empty_is_zero(self):
-        assert kappa_perm((), RATES) == 0
+        assert kappa_word((), RATES) == 0
         assert kappa_word((), WordRates(2, (F(1, 2), F(1, 2)), (1, 2))) == 0
 
     def test_sort_applied_first(self):
         rates = generic_perm_rates(4, seed=1)
-        assert kappa_perm((2, 4, 1), rates) == kappa_perm((4, 2, 1), rates)
+        assert kappa_word((2, 4, 1), rates) == kappa_word((4, 2, 1), rates)
 
     def test_word_kappa_ybar_identity(self):
         # kappa(b; xbar) = sum q^(n+i-k-1) ybar_{b_i} on the sorted tuple
@@ -129,7 +127,7 @@ class TestPermStationary:
     def test_positive_factors(self):
         rates = generic_perm_rates(4, seed=22, q=F(7, 4))
         for perm in perm_states(4):
-            pre, nums, dens = perm_factors(perm, rates)
+            pre, nums, dens = word_factors(perm, rates)
             assert pre > 0
             assert all(f > 0 for f in nums)
             assert all(f > 0 for f in dens)
