@@ -229,14 +229,12 @@ def cmd_spectrum(args) -> int:
     failed = False
     payload = {"catalog": rows}
     if args.verify:
-        from .spectra import verify_annihilation, verify_multiplicities
+        from .spectra import verify_multiplicities
 
-        op = chain.operator()
-        report = verify_multiplicities(op, catalog)
-        annihilates = verify_annihilation(op, catalog)
+        report = verify_multiplicities(chain.operator(), catalog)
         payload["verification"] = report.as_json()
-        payload["verification"]["annihilation"] = annihilates
-        failed = not (report.all_pass and annihilates)
+        payload["verification"]["annihilation"] = report.annihilates
+        failed = not (report.all_pass and report.annihilates)
     if args.format == "json":
         _emit(args, json.dumps(payload, indent=2))
     else:

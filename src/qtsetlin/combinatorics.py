@@ -32,7 +32,6 @@ __all__ = [
     "linear_extensions",
     "poset_derangements",
     "seq_to_str",
-    "str_to_seq",
 ]
 
 
@@ -239,9 +238,3 @@ def seq_to_str(seq) -> str:
 def state_key(state) -> str:
     """Printed name of a chain state: a flag's `to_str()`, else `seq_to_str`."""
     return state.to_str() if hasattr(state, "to_str") else seq_to_str(state)
-
-
-def str_to_seq(s: str):
-    if "," in s:
-        return tuple(int(v) for v in s.split(","))
-    return tuple(int(ch) for ch in s)

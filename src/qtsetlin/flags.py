@@ -12,7 +12,7 @@ they never change the chain of column spans.
 
 All F_p vector arithmetic runs on `_VectorCodes`, one per (n, p), on
 vectors coded as ints, through two walks: `reduce` to canonical columns (for
-coset representatives, `insert_line`, the coset action and the subspaces of
+the line-insertion table, `insert_line`, the coset action and the subspaces of
 partial flags, which are canonical columns with every pivot row cleared, so
 subspace equality is tuple equality) and `entry_step`, the step at which a
 vector enters a flag (for the path method).  Codes are decoded only where a
@@ -42,9 +42,7 @@ __all__ = [
     "is_prime",
     "Line",
     "enumerate_lines",
-    "line_weight",
     "FlagRep",
-    "canonicalize_coset",
     "enumerate_flags",
     "coset_to_perm",
     "insert_line",
@@ -103,11 +101,6 @@ def enumerate_lines(n: int, p: int):
         for tail in itertools.product(range(p), repeat=n - lead):
             out.append(Line(lead, tail))
     return out
-
-
-def line_weight(line: Line, rates: PermRates) -> Fraction:
-    """Weight x_i / q^(n-i) of a line with lead index i."""
-    return rates.y(line.lead)
 
 
 class FlagRep(record("FlagRep", "cols p")):
@@ -227,18 +220,6 @@ def _decoded_flag(codes, cols) -> FlagRep:
     return FlagRep(tuple(map(codes.decode, cols)), codes.p)
 
 
-def canonicalize_coset(rows, p: int) -> FlagRep:
-    """Canonical representative of the coset of an invertible matrix
-    (given as rows)."""
-    _check_prime(p)
-    codes = _vector_codes(len(rows), p)
-    cols = [codes.encode(col) for col in zip(*rows)]
-    out, _ = codes.reduce(cols)
-    if len(out) != len(cols):
-        raise ValueError("matrix is singular")
-    return _decoded_flag(codes, out)
-
-
 def coset_to_perm(flag: FlagRep) -> tuple:
     """Permutation pi with pi_j = pivot row of column j (1-based)."""
     perm = []
@@ -303,18 +284,24 @@ def _insert_coded(codes, cols, v):
 
 
 @lru_cache(maxsize=8)
+def _line_codes(n, p):
+    """(lead, code) of every line, in `enumerate_lines` order."""
+    codes = _vector_codes(n, p)
+    return tuple((line.lead, codes.encode(line.vector(n))) for line in enumerate_lines(n, p))
+
+
+@lru_cache(maxsize=8)
 def _insertion_table(n, p):
-    """(flags, lines, targets): targets[f][l] is the index of the flag that
-    inserting line l in front of flag f gives.  It does not depend on the
-    rates.  Flags are looked up by the tuple of their column codes."""
+    """(flags, leads, targets): targets[f][l] is the index of the flag that
+    inserting line l of `_line_codes`, of lead index leads[l], in front of
+    flag f gives, at any rates.  Flags are looked up by their column codes."""
     states = _flag_states(n, p)
-    lines = enumerate_lines(n, p)
+    leads, line_codes = zip(*_line_codes(n, p))
     codes = _vector_codes(n, p)
     flag_codes = [tuple(map(codes.encode, f.cols)) for f in states]
     index = {cols: k for k, cols in enumerate(flag_codes)}
-    line_codes = [codes.encode(line.vector(n)) for line in lines]
     targets = [tuple(index[_insert_coded(codes, cols, v)] for v in line_codes) for cols in flag_codes]
-    return states, lines, targets
+    return states, leads, targets
 
 
 def _act_coset(flag: FlagRep, i: int):
@@ -361,8 +348,8 @@ def transition_matrix_flags(rates: PermRates, p: int) -> LinearOperator:
     """Transition matrix on flags: row F adds, for every line L, the weight
     of L at the column obtained by inserting L in front of F."""
     _check_rates(rates, p)
-    states, lines, targets = _insertion_table(rates.n, p)
-    d, scaled = integer_numerators([line_weight(line, rates) for line in lines])
+    states, leads, targets = _insertion_table(rates.n, p)
+    d, scaled = integer_numerators([rates.y(lead) for lead in leads])
     index = range(len(states))
     matrix = state_matrix(index, index, lambda f: zip(targets[f], scaled), d)
     return LinearOperator(states, matrix)
@@ -419,13 +406,6 @@ def lrb_product(a: PartialFlag, b: PartialFlag) -> PartialFlag:
     if a.n != b.n or a.p != b.p:
         raise ValueError("partial flags live in different spaces")
     return PartialFlag.from_vectors([*a.chain, *b.chain], a.n, a.p)
-
-
-@lru_cache(maxsize=8)
-def _line_codes(n, p):
-    """(lead, code) of every line, in `enumerate_lines` order."""
-    codes = _vector_codes(n, p)
-    return tuple((line.lead, codes.encode(line.vector(n))) for line in enumerate_lines(n, p))
 
 
 def rcayley_stationary(rates: PermRates, p: int, flag: FlagRep) -> Fraction:

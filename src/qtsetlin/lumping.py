@@ -61,14 +61,17 @@ def _flag_matrix(rates, p):
     return transition_matrix_flags(rates, p).matrix
 
 
+def _projection(fine, coarse, to_class) -> IntertwinerMatrix:
+    """0/1 matrix sending each fine state to its class among the coarse ones."""
+    m = state_matrix(fine, coarse, lambda s: ((to_class(s), 1),))
+    return IntertwinerMatrix(m, fine, coarse, "projection")
+
+
 def proj_flags_to_perms(n: int, p: int) -> IntertwinerMatrix:
     """0/1 matrix sending each coset to its double-coset permutation."""
     from .flags import _flag_states, coset_to_perm
 
-    flags = _flag_states(n, p)
-    perms = tuple(perm_states(n))
-    m = state_matrix(flags, perms, lambda f: ((coset_to_perm(f), 1),))
-    return IntertwinerMatrix(m, flags, perms, "projection")
+    return _projection(_flag_states(n, p), tuple(perm_states(n)), coset_to_perm)
 
 
 def incl_perms_to_flags(n: int, p: int) -> IntertwinerMatrix:
@@ -92,10 +95,7 @@ def incl_perms_to_flags(n: int, p: int) -> IntertwinerMatrix:
 
 def proj_perms_to_words(m) -> IntertwinerMatrix:
     """0/1 matrix sending a permutation to its destandardized word."""
-    perms = tuple(perm_states(sum(m)))
-    words = tuple(word_states(m))
-    mat = state_matrix(perms, words, lambda perm: ((destandardize(perm, m), 1),))
-    return IntertwinerMatrix(mat, perms, words, "projection")
+    return _projection(tuple(perm_states(sum(m))), tuple(word_states(m)), lambda perm: destandardize(perm, m))
 
 
 def young_subgroup(m):
@@ -186,30 +186,28 @@ DIAGRAMS = (
 
 
 def check_commuting(diagram: str, rates: PermRates, p: int = None, m=None) -> bool:
-    """Exact matrix identity for one of the four commuting diagrams.
+    """Exact matrix identity for one of the four commuting diagrams, in the
+    form its intertwiner's kind takes (see the module docstring).
 
     The word diagrams take the permutation rates (which must be
     m-compatible) and derive the word rates from them.
     """
+    proj = diagram.endswith("-proj")
     if diagram in ("flags-perms-proj", "flags-perms-incl"):
         if p is None:
             raise ValueError("flag diagrams need the field size")
-        t_flags = _flag_matrix(rates, p)
-        t_perm = transition_matrix_perm(rates).matrix
-        if diagram == "flags-perms-proj":
-            proj = proj_flags_to_perms(rates.n, p).matrix
-            return mat_mul(t_flags, proj) == mat_mul(proj, t_perm)
-        incl = incl_perms_to_flags(rates.n, p).matrix
-        return mat_mul(incl, t_flags) == mat_mul(t_perm, incl)
-    if diagram in ("perms-words-proj", "perms-words-incl"):
+        fine = _flag_matrix(rates, p)
+        coarse = transition_matrix_perm(rates).matrix
+        intertwiner = proj_flags_to_perms(rates.n, p) if proj else incl_perms_to_flags(rates.n, p)
+    elif diagram in ("perms-words-proj", "perms-words-incl"):
         if m is None:
             raise ValueError("word diagrams need the composition")
-        word_rates = map_rates_perm_to_word(rates, m)
-        t_perm = transition_matrix_perm(rates).matrix
-        t_word = transition_matrix_word(word_rates).matrix
-        if diagram == "perms-words-proj":
-            proj = proj_perms_to_words(m).matrix
-            return mat_mul(t_perm, proj) == mat_mul(proj, t_word)
-        incl = incl_words_to_perms(m, rates.q).matrix
-        return mat_mul(incl, t_perm) == mat_mul(t_word, incl)
-    raise ValueError(f"unknown diagram {diagram!r}; expected one of {DIAGRAMS}")
+        coarse = transition_matrix_word(map_rates_perm_to_word(rates, m)).matrix
+        fine = transition_matrix_perm(rates).matrix
+        intertwiner = proj_perms_to_words(m) if proj else incl_words_to_perms(m, rates.q)
+    else:
+        raise ValueError(f"unknown diagram {diagram!r}; expected one of {DIAGRAMS}")
+    x = intertwiner.matrix
+    if intertwiner.kind == "projection":
+        return mat_mul(fine, x) == mat_mul(x, coarse)
+    return mat_mul(x, fine) == mat_mul(coarse, x)

@@ -128,7 +128,7 @@ def merge_catalog(entries):
     ]
 
 
-class MultiplicityReport(record("MultiplicityReport", "entries dimension total_predicted")):
+class MultiplicityReport(record("MultiplicityReport", "entries dimension total_predicted annihilates")):
     """entries: (labels, value, predicted, computed, ok) per merged value."""
 
     @property
@@ -159,7 +159,8 @@ class MultiplicityReport(record("MultiplicityReport", "entries dimension total_p
 
 def verify_multiplicities(op: LinearOperator, catalog) -> MultiplicityReport:
     """The nullity of (M - lambda I) against the predicted multiplicity for
-    every merged catalog value, plus the total-dimension check.
+    every merged catalog value, the total-dimension check, and in
+    `annihilates` whether the product of (M - lambda I) over them vanishes.
 
     The nullities are proved without elimination when the spectral
     certificate holds (see `_certified`); otherwise each one is computed by
@@ -167,7 +168,8 @@ def verify_multiplicities(op: LinearOperator, catalog) -> MultiplicityReport:
     """
     m = op.matrix
     merged = merge_catalog(catalog)
-    if _certified(m, merged):
+    result = _spectral_pass(m, tuple(e.value for e in merged))
+    if _certified(result, merged):
         nullities = [e.multiplicity for e in merged]
     else:
         nullities = [rank_nullity(shift(m, e.value))[1] for e in merged]
@@ -176,7 +178,7 @@ def verify_multiplicities(op: LinearOperator, catalog) -> MultiplicityReport:
         for e, nullity in zip(merged, nullities)
     )
     total = sum(e.multiplicity for e in merged)
-    return MultiplicityReport(rows, m.rows, total)
+    return MultiplicityReport(rows, m.rows, total, result is not None)
 
 
 def verify_annihilation(op: LinearOperator, catalog) -> bool:
@@ -186,7 +188,7 @@ def verify_annihilation(op: LinearOperator, catalog) -> bool:
     return _spectral_pass(op.matrix, values) is not None
 
 
-def _certified(m, merged) -> bool:
+def _certified(result, merged) -> bool:
     """True iff the annihilation product over the merged values vanishes and
     every trace identity holds, which proves each predicted multiplicity.
 
@@ -201,7 +203,6 @@ def _certified(m, merged) -> bool:
     predicted multiplicities exactly when those are the a_j.  Both sides
     are taken on D M and the D l_i, which scales identity t by D^t.
     """
-    result = _spectral_pass(m, tuple(e.value for e in merged))
     if result is None:
         return False
     scaled, traces = result
@@ -216,9 +217,6 @@ def _certified(m, merged) -> bool:
     return traces == expected
 
 
-# One-entry memo: the suites and `spectrum --verify` call both checks on one
-# (matrix, catalog) pair.
-@lru_cache(maxsize=1)
 def _spectral_pass(m: Matrix, values: tuple):
     """(D l_i, traces) when the product of (M - l_i I) over `values` is zero,
     else None; traces[t] is the trace of prod_{i<t} (D M - D l_i I).
@@ -266,10 +264,10 @@ def _random_positive_rationals(count, rng):
     return tuple(v / total for v in vals)
 
 
-def generic_perm_rates(n: int, seed=0, q=None, p=None) -> PermRates:
+def generic_perm_rates(n: int, seed=0, q=None) -> PermRates:
     """The word sampler at content (1^n), whose upper-set eigenvalues are the
-    subset eigenvalues.  With p given, q is pinned to p."""
-    rates = generic_word_rates((1,) * n, seed, Fraction(p) if p is not None else q)
+    subset eigenvalues."""
+    rates = generic_word_rates((1,) * n, seed, q)
     return PermRates(rates.q, rates.xbar)
 
 

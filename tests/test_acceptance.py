@@ -230,7 +230,7 @@ def test_criterion_6_flag_chain():
         for flag, value in zip(psi.states, psi.values):
             assert value == reference[coset_to_perm(flag)]
         # multiplicities (6, 8, 4, 2, 1) by exact nullity, at generic rates
-        grates = generic_perm_rates(3, seed=106, p=2)
+        grates = generic_perm_rates(3, seed=106, q=2)
         gop = transition_matrix_flags(grates, 2)
         catalog = eigen_catalog_flags(grates, 2)
         assert sorted((e.multiplicity for e in catalog if e.multiplicity), reverse=True) == [
@@ -244,7 +244,7 @@ def test_criterion_6_flag_chain():
         assert all(rcayley_stationary(grates, 2, f) == gpsi[f] for f in gpsi.states)
         # p=3, n=3 (52 states) and p=2, n=4 (315 states): formula vs oracle
         for n, p, size in ((3, 3, 52), (4, 2, 315)):
-            r = generic_perm_rates(n, seed=106 + p, p=p)
+            r = generic_perm_rates(n, seed=106 + p, q=p)
             t = transition_matrix_flags(r, p)
             assert len(t.states) == size
             f = stationary_flags_formula(r, p)
@@ -255,7 +255,7 @@ def test_criterion_6_flag_chain():
 def test_criterion_7_commuting_diagrams():
     with criterion(7, "commuting diagrams and lumped stationary identities", 300.0):
         for p in (2, 3):
-            rates = generic_perm_rates(3, seed=107, p=p)
+            rates = generic_perm_rates(3, seed=107, q=p)
             assert check_commuting("flags-perms-proj", rates, p=p)
             assert check_commuting("flags-perms-incl", rates, p=p)
             psi_perm = stationary_perm_formula(rates)
@@ -343,7 +343,7 @@ def test_criterion_9_property_suite():
         for word in word_states((2, 2)):
             pre, nums, dens = word_factors(word, wrates)
             assert pre > 0 and all(v > 0 for v in nums) and all(v > 0 for v in dens)
-        frates = generic_perm_rates(3, seed=110, p=2)
+        frates = generic_perm_rates(3, seed=110, q=2)
         for perm in perm_states(3):
             nums, dens = flag_coset_factors(perm, frates)
             assert all(v > 0 for v in nums) and all(v > 0 for v in dens)
@@ -364,7 +364,7 @@ def test_criterion_9_property_suite():
             wrates = generic_word_rates(m, seed=112)
             assert sum(e.multiplicity for e in eigen_catalog_word(wrates)) == len(word_states(m))
         for n, p in ((3, 2), (3, 3), (4, 2)):
-            frates = generic_perm_rates(n, seed=113, p=p)
+            frates = generic_perm_rates(n, seed=113, q=p)
             expected = 1
             for k in range(1, n + 1):
                 expected *= int(q_int(k, p))

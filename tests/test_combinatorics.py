@@ -21,7 +21,6 @@ from qtsetlin.combinatorics import (
     q_int,
     seq_to_str,
     standardize,
-    str_to_seq,
     word_states,
 )
 
@@ -214,9 +213,7 @@ class TestPosets:
 class TestSerialization:
     def test_digit_string(self):
         assert seq_to_str((3, 1, 4, 2)) == "3142"
-        assert str_to_seq("3142") == (3, 1, 4, 2)
 
     def test_comma_string_for_large_values(self):
         seq = (10, 1, 2, 3, 4, 5, 6, 7, 8, 9)
         assert seq_to_str(seq) == "10,1,2,3,4,5,6,7,8,9"
-        assert str_to_seq(seq_to_str(seq)) == seq

@@ -2,14 +2,15 @@
 
 Every flag operation runs on the int-coded `_VectorCodes`: its column
 reduction `reduce` and its entry-step walk `entry_step`.  The references
-below are the former versions: the tuple column reduction and the tuple
-entry step that the coded walks replaced, the coset action with its shear
-a + t*b taken entrywise on tuples, a span built by reducing each vector
-against a reduced echelon basis, a partial flag that spans every vector seen
-so far at each step, a product that spans the left factor's top with each
-step of the right one, and a path method that builds every prefix span of
-the flag and tests each line for containment prefix by prefix.  Each must
-agree with its reference result for result.
+below are the former versions: the tuple column reduction (with the coset
+representative built on it) and the tuple entry step that the coded walks
+replaced, the coset action with its shear a + t*b taken entrywise on tuples,
+a span built by reducing each vector against a reduced echelon basis, a
+partial flag that spans every vector seen so far at each step, a product
+that spans the left factor's top with each step of the right one, and a path
+method that builds every prefix span of the flag and tests each line for
+containment prefix by prefix.  Each must agree with its reference result for
+result.
 """
 
 import bisect
@@ -28,7 +29,6 @@ from qtsetlin.flags import (
     _vector_codes,
     enumerate_flags,
     enumerate_lines,
-    line_weight,
     lrb_product,
     rcayley_stationary,
     span_basis,
@@ -69,6 +69,15 @@ def _canonical_columns(cols, p):
         out.append(col)
         bisect.insort(placed, (lead, col))
     return tuple(out), tuple(placed)
+
+
+def canonicalize_coset(rows, p: int) -> FlagRep:
+    """Canonical representative of the coset of an invertible matrix (given
+    as rows), by the tuple column reduction."""
+    cols, _ = _canonical_columns(list(zip(*rows)), p)
+    if len(cols) != len(rows):
+        raise ValueError("matrix is singular")
+    return FlagRep(cols, p)
 
 
 def _entry_step(flag: FlagRep, v) -> int:
@@ -204,7 +213,7 @@ def reference_path_value(rates, p, flag):
     prefixes = reference_prefixes(flag)
     step_weight = [F(0)] * (n + 1)
     for line in enumerate_lines(n, p):
-        step_weight[reference_entry_step(prefixes, line.vector(n), p)] += line_weight(line, rates)
+        step_weight[reference_entry_step(prefixes, line.vector(n), p)] += rates.y(line.lead)
     value = F(1)
     for j in range(1, n + 1):
         value *= step_weight[j]
@@ -287,7 +296,7 @@ def test_from_vectors_and_lrb_product_match_reference_on_random_pairs(p):
 
 
 def test_path_method_equals_closed_form_on_every_flag_n4_p3():
-    rates = generic_perm_rates(4, seed=4, p=3)
+    rates = generic_perm_rates(4, seed=4, q=3)
     psi = stationary_flags_formula(rates, 3).normalized()
     assert len(psi.states) == 2080
     assert all(rcayley_stationary(rates, 3, f) == psi[f] for f in psi.states)

@@ -9,7 +9,6 @@ from qtsetlin.exact import Matrix, mat_mul
 from qtsetlin.flags import (
     Line,
     PartialFlag,
-    canonicalize_coset,
     coset_to_perm,
     enumerate_flags,
     enumerate_lines,
@@ -17,7 +16,6 @@ from qtsetlin.flags import (
     insert_line,
     PRIME_TEST_BOUND,
     is_prime,
-    line_weight,
     lrb_product,
     rcayley_stationary,
     span_basis,
@@ -26,6 +24,7 @@ from qtsetlin.flags import (
     weight_op_flags,
 )
 from qtsetlin.hecke_chains import PermRates
+from test_flag_kernel import canonicalize_coset
 
 RATES = PermRates(2, (F(1, 2), F(1, 3), F(1, 6)))
 
@@ -49,12 +48,12 @@ class TestLines:
     def test_weights(self):
         n = 3
         lead_n = Line(3, ())
-        assert line_weight(lead_n, RATES) == RATES.x[2]
+        assert RATES.y(lead_n.lead) == RATES.x[2]
         # the q^(n-i) lines with a fixed lead carry equal weight; totals add to 1
         per_lead = Counter()
         total = F(0)
         for line in enumerate_lines(n, 2):
-            w = line_weight(line, RATES)
+            w = RATES.y(line.lead)
             assert w == RATES.x[line.lead - 1] / F(2) ** (n - line.lead)
             per_lead[line.lead] += 1
             total += w
@@ -63,7 +62,7 @@ class TestLines:
 
     def test_example_weight_x1_over_q2(self):
         # the reduced p=3 coset of the worked insertion example has lead row 1
-        assert line_weight(Line(1, (1, 0)), PermRates(3, (F(1, 2), F(1, 4), F(1, 4)))) == F(1, 2) / 9
+        assert PermRates(3, (F(1, 2), F(1, 4), F(1, 4))).y(Line(1, (1, 0)).lead) == F(1, 2) / 9
 
     def test_nonprime_rejected(self):
         assert not is_prime(1) and not is_prime(4) and is_prime(13)

@@ -23,17 +23,19 @@ from qtsetlin.flags import (
     _VectorCodes,
     _insertion_table,
     _vector_codes,
-    canonicalize_coset,
+    enumerate_lines,
     insert_line,
 )
-from test_flag_kernel import _canonical_columns, _entry_step
+from test_flag_kernel import _canonical_columns, _entry_step, canonicalize_coset
 
 SPACES = [(n, p) for n in (1, 2, 3) for p in (2, 3, 5)] + [(2, 59), (2, 61), (4, 2), (4, 3)]
 
 
 @pytest.mark.parametrize("n,p", SPACES)
 def test_table_matches_insert_line_on_every_pair(n, p):
-    states, lines, targets = _insertion_table(n, p)
+    states, leads, targets = _insertion_table(n, p)
+    lines = enumerate_lines(n, p)
+    assert leads == tuple(line.lead for line in lines)
     stride = 13 if (n, p) == (4, 3) else 1
     for f in range(0, len(states), stride):
         assert [states[t] for t in targets[f]] == [insert_line(states[f], line) for line in lines]

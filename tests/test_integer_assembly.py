@@ -27,7 +27,6 @@ from qtsetlin.flags import (
     enumerate_flags,
     enumerate_lines,
     insert_line,
-    line_weight,
     transition_matrix_flags,
     transition_matrix_flags_hecke,
 )
@@ -90,7 +89,7 @@ def reference_line_insertion_rows(states, rates, p):
         row = {}
         for line in lines:
             c = index[insert_line(f, line)]
-            row[c] = row.get(c, F(0)) + line_weight(line, rates)
+            row[c] = row.get(c, F(0)) + rates.y(line.lead)
         rows.append({c: x for c, x in row.items() if x})
     return rows
 

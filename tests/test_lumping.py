@@ -2,12 +2,14 @@ from fractions import Fraction as F
 
 import pytest
 
+from qtsetlin import lumping
 from qtsetlin.combinatorics import (
     coinv,
     destandardize,
     inv,
     q_factorial,
 )
+from qtsetlin.exact import Matrix
 from qtsetlin.flags import coset_to_perm
 from qtsetlin.hecke_chains import PermRates
 from qtsetlin.lumping import (
@@ -206,7 +208,7 @@ class TestRateMaps:
 class TestCommutingDiagrams:
     def test_flag_diagrams(self):
         for p in (2, 3):
-            rates = generic_perm_rates(3, seed=4, p=p)
+            rates = generic_perm_rates(3, seed=4, q=p)
             assert check_commuting("flags-perms-proj", rates, p=p)
             assert check_commuting("flags-perms-incl", rates, p=p)
 
@@ -223,6 +225,33 @@ class TestCommutingDiagrams:
         assert check_commuting("perms-words-proj", rates, m=(2, 2))
         assert check_commuting("perms-words-incl", rates, m=(2, 2))
 
+    @pytest.mark.parametrize(
+        "diagram, builder",
+        [
+            ("flags-perms-proj", "proj_flags_to_perms"),
+            ("flags-perms-incl", "incl_perms_to_flags"),
+            ("perms-words-proj", "proj_perms_to_words"),
+            ("perms-words-incl", "incl_words_to_perms"),
+        ],
+    )
+    def test_perturbed_intertwiner_breaks_the_diagram(self, diagram, builder, monkeypatch):
+        """Doubling one row of the intertwiner makes the comparison fail."""
+        if diagram.startswith("flags"):
+            rates, where = generic_perm_rates(3, seed=4, q=2), {"p": 2}
+        else:
+            rates, where = map_rates_word_to_perm(generic_word_rates((2, 1), seed=5, q=F(2))), {"m": (2, 1)}
+        assert check_commuting(diagram, rates, **where)
+        build = getattr(lumping, builder)
+
+        def perturbed(*args):
+            intertwiner = build(*args)
+            rows = intertwiner.matrix.data
+            rows[0] = [2 * a for a in rows[0]]
+            return intertwiner._replace(matrix=Matrix(rows))
+
+        monkeypatch.setattr(lumping, builder, perturbed)
+        assert not check_commuting(diagram, rates, **where)
+
     def test_unknown_diagram_rejected(self):
         with pytest.raises(ValueError, match="unknown diagram"):
             check_commuting("nope", generic_perm_rates(2, seed=0))
@@ -233,7 +262,7 @@ class TestCommutingDiagrams:
         from qtsetlin.exact import vec_mat
 
         p = 2
-        rates = generic_perm_rates(3, seed=7, p=p)
+        rates = generic_perm_rates(3, seed=7, q=p)
         psi_f = stationary_flags_formula(rates, p)
         psi_p = stationary_perm_formula(rates)
         proj = proj_flags_to_perms(3, p)

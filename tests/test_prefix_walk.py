@@ -161,13 +161,13 @@ def _path_rates(n, p):
 
 @pytest.mark.parametrize("n, p", [(1, 2), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
 def test_path_method_matches_reference_on_every_flag(n, p):
-    for rates in (_path_rates(n, p), generic_perm_rates(n, seed=n + p, p=p)):
+    for rates in (_path_rates(n, p), generic_perm_rates(n, seed=n + p, q=p)):
         for flag in enumerate_flags(n, p):
             assert rcayley_stationary(rates, p, flag) == reference_path_value(rates, p, flag), flag
 
 
 def test_path_method_matches_reference_on_a_sample_of_n4_p3():
-    rates = generic_perm_rates(4, seed=7, p=3)
+    rates = generic_perm_rates(4, seed=7, q=3)
     flags = enumerate_flags(4, 3)
     for flag in flags[::13]:
         assert rcayley_stationary(rates, 3, flag) == reference_path_value(rates, 3, flag), flag

@@ -3,6 +3,8 @@ import io
 from fractions import Fraction as F
 from pathlib import Path
 
+import pytest
+
 from qtsetlin.cli import main
 from qtsetlin.combinatorics import derangement, q_int
 from qtsetlin.exact import Matrix
@@ -140,7 +142,7 @@ class TestWordCatalog:
 
 class TestFlagCatalog:
     def test_p2_n3_multiplicities(self):
-        rates = generic_perm_rates(3, seed=6, p=2)
+        rates = generic_perm_rates(3, seed=6, q=2)
         catalog = {e.label: e for e in eigen_catalog_flags(rates, 2)}
         x1, x2, x3 = rates.x
         assert (catalog[()].value, catalog[()].multiplicity) == (0, 6)
@@ -153,21 +155,21 @@ class TestFlagCatalog:
 
     def test_multiplicities_sum_to_flag_count(self):
         for n, p in ((2, 2), (3, 2), (3, 3), (4, 2)):
-            rates = generic_perm_rates(n, seed=n, p=p)
+            rates = generic_perm_rates(n, seed=n, q=p)
             expected = 1
             for k in range(1, n + 1):
                 expected *= int(q_int(k, p))
             assert sum(e.multiplicity for e in eigen_catalog_flags(rates, p)) == expected
 
     def test_nullities_match_p2_n3(self):
-        rates = generic_perm_rates(3, seed=8, p=2)
+        rates = generic_perm_rates(3, seed=8, q=2)
         op = transition_matrix_flags(rates, 2)
         report = verify_multiplicities(op, eigen_catalog_flags(rates, 2))
         assert report.all_pass
         assert report.dimension_ok
 
     def test_annihilation_p2_n3(self):
-        rates = generic_perm_rates(3, seed=9, p=2)
+        rates = generic_perm_rates(3, seed=9, q=2)
         op = transition_matrix_flags(rates, 2)
         assert verify_annihilation(op, eigen_catalog_flags(rates, 2))
 
@@ -182,7 +184,7 @@ class TestContainment:
         assert word_values <= perm_values
 
     def test_perm_values_inside_flag_values(self):
-        rates = generic_perm_rates(3, seed=11, p=3)
+        rates = generic_perm_rates(3, seed=11, q=3)
         perm_values = {e.value for e in eigen_catalog_perm(rates)}
         flag_values = {e.value for e in eigen_catalog_flags(rates, 3)}
         assert perm_values <= flag_values
@@ -207,7 +209,9 @@ class TestVerification:
         catalog = [type("E", (), {"label": (), "value": F(0), "multiplicity": 2})()]
         assert not verify_annihilation(jordan, catalog)
         report = verify_multiplicities(jordan, catalog)
+        assert report.annihilates is False
         assert not report.all_pass  # nullity 1 != 2
+        assert report.entries == ((((),), F(0), 2, 1, False),)  # names the wrong nullity
 
     def test_report_json_shape(self):
         rates = generic_perm_rates(2, seed=12)
@@ -225,6 +229,11 @@ class TestGenericSampling:
         values = [e.value for e in eigen_catalog_perm(rates)]
         assert len(set(values)) == len(values)
         assert rates.total() == 1
+
+    def test_q_is_the_only_way_to_pin_q(self):
+        assert generic_perm_rates(3, seed=14, q=2).q == 2
+        with pytest.raises(TypeError):
+            generic_perm_rates(3, seed=14, p=2)
 
     def test_deterministic_for_seed(self):
         assert generic_perm_rates(3, seed=14).x == generic_perm_rates(3, seed=14).x

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qtsetlin.spectra as spectra
+import qtsetlin.suites as suites
 from qtsetlin.exact import Matrix, mat_mul, rank_nullity
 from qtsetlin.flags import transition_matrix_flags
 from qtsetlin.hecke_chains import (
@@ -36,7 +37,8 @@ from qtsetlin.spectra import (
     verify_annihilation,
     verify_multiplicities,
 )
-from qtsetlin.suites import compositions
+from qtsetlin.cli import main
+from qtsetlin.suites import compositions, run_suite
 
 
 def reference_annihilation(m, catalog):
@@ -85,7 +87,7 @@ def chain(kind, arg):
         rates = generic_word_rates(arg, seed=sum(arg))
         return transition_matrix_word(rates), eigen_catalog_word(rates)
     n, p = arg
-    rates = generic_perm_rates(n, seed=n, p=p)
+    rates = generic_perm_rates(n, seed=n, q=p)
     return transition_matrix_flags(rates, p), eigen_catalog_flags(rates, p)
 
 
@@ -247,3 +249,44 @@ def test_planted_value_removed_is_rejected(case, data):
     report = assert_agrees(op, kept)
     assert not report.all_pass
     assert not verify_annihilation(op, kept)
+
+
+def test_one_spectral_pass_per_certified_chain(monkeypatch, capsys):
+    """The suite and `spectrum --verify` read the annihilation verdict from
+    the pass that certifies the multiplicities; none runs a second pass."""
+    calls = []
+    original = spectra._spectral_pass
+
+    def counting(m, values):
+        calls.append(m.rows)
+        return original(m, values)
+
+    monkeypatch.setattr(spectra, "_spectral_pass", counting)
+    checks = run_suite("spectra", n_max=3, p_list=(2,))
+    chains = [name for name, _ in checks if "nullities match" in name]
+    assert all(ok for _, ok in checks)
+    # perm n=2, 3; words (1,1), (1,2), (2,1), (1,1,1); flags n=2, 3 over F_2
+    assert len(calls) == len(chains) == 8
+    del calls[:]
+    assert main(["spectrum", "--space", "flag", "--n", "3", "--p", "2", "--verify"]) == 0
+    assert '"annihilation": true' in capsys.readouterr().out
+    assert calls == [21]
+
+
+def test_suite_and_cli_read_the_annihilation_verdict(monkeypatch, capsys):
+    """A report whose product did not vanish fails the perm annihilation
+    line, the flag nullity line and `spectrum --verify`."""
+    real = spectra.verify_multiplicities
+
+    def not_annihilating(op, catalog):
+        return real(op, catalog)._replace(annihilates=False)
+
+    monkeypatch.setattr(spectra, "verify_multiplicities", not_annihilating)
+    monkeypatch.setattr(suites, "verify_multiplicities", not_annihilating)
+    failed = [name for name, ok in run_suite("spectra", n_max=2, p_list=(2,)) if not ok]
+    assert failed == [
+        "perm n=2: annihilation product vanishes",
+        "flag n=2 p=2: nullities match q-derangement multiplicities",
+    ]
+    assert main(["spectrum", "--space", "flag", "--n", "2", "--p", "2", "--verify", "--format", "csv"]) == 1
+    assert capsys.readouterr().out.endswith("all_pass,false,\n")

@@ -202,7 +202,7 @@ class TestFlagStationary:
             assert value == expected[coset_to_perm(flag)]
 
     def test_constant_on_cosets_and_sums_to_one(self):
-        rates = generic_perm_rates(3, seed=41, p=3)
+        rates = generic_perm_rates(3, seed=41, q=3)
         psi = stationary_flags_formula(rates, 3)
         by_perm = {}
         for flag, value in zip(psi.states, psi.values):
@@ -211,19 +211,19 @@ class TestFlagStationary:
         assert psi.total() == 1
 
     def test_last_factor_is_one_when_normalized(self):
-        rates = generic_perm_rates(4, seed=42, p=2)
+        rates = generic_perm_rates(4, seed=42, q=2)
         for perm in perm_states(4):
             nums, dens = flag_coset_factors(perm, rates)
             assert nums[-1] == dens[-1]
 
     def test_eigenvector(self):
-        rates = generic_perm_rates(3, seed=43, p=2)
+        rates = generic_perm_rates(3, seed=43, q=2)
         op = transition_matrix_flags(rates, 2)
         psi = stationary_flags_formula(rates, 2)
         assert psi.is_left_eigenvector(op, 1)
 
     def test_three_methods_agree(self):
-        rates = generic_perm_rates(3, seed=44, p=2)
+        rates = generic_perm_rates(3, seed=44, q=2)
         op = transition_matrix_flags(rates, 2)
         psi = stationary_flags_formula(rates, 2)
         oracle = stationary_oracle(op, 1)
@@ -231,14 +231,14 @@ class TestFlagStationary:
         assert all(rcayley_stationary(rates, 2, f) == psi[f] for f in psi.states)
 
     def test_oracle_agrees_at_p5(self):
-        rates = generic_perm_rates(3, seed=46, p=5)
+        rates = generic_perm_rates(3, seed=46, q=5)
         op = transition_matrix_flags(rates, 5)
         assert len(op.states) == 186
         psi = stationary_flags_formula(rates, 5)
         assert stationary_oracle(op, 1).values == psi.values
 
     def test_positive_factors(self):
-        rates = generic_perm_rates(3, seed=45, p=5)
+        rates = generic_perm_rates(3, seed=45, q=5)
         for perm in perm_states(3):
             nums, dens = flag_coset_factors(perm, rates)
             assert all(f > 0 for f in nums) and all(f > 0 for f in dens)
@@ -247,7 +247,7 @@ class TestFlagStationary:
 class TestBridges:
     def test_perm_mass_is_q_coinv_times_flag_mass(self):
         for p in (2, 3):
-            rates = generic_perm_rates(3, seed=51, p=p)
+            rates = generic_perm_rates(3, seed=51, q=p)
             psi_perm = stationary_perm_formula(rates)
             psi_flag = stationary_flags_formula(rates, p)
             for flag, value in zip(psi_flag.states, psi_flag.values):

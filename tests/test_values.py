@@ -132,11 +132,12 @@ CASES = [
         "label value multiplicity",
     ),
     (
-        MultiplicityReport(((((1,),), F(1), 1, 1, True),), 1, 1),
-        MultiplicityReport(((((1,),), F(1), 1, 1, True),), 1, 1),
-        MultiplicityReport(((((1,),), F(1), 1, 0, False),), 1, 1),
-        "MultiplicityReport(entries=((((1,),), Fraction(1, 1), 1, 1, True),), dimension=1, total_predicted=1)",
-        "entries dimension total_predicted",
+        MultiplicityReport(((((1,),), F(1), 1, 1, True),), 1, 1, True),
+        MultiplicityReport(((((1,),), F(1), 1, 1, True),), 1, 1, True),
+        MultiplicityReport(((((1,),), F(1), 1, 1, True),), 1, 1, False),
+        "MultiplicityReport(entries=((((1,),), Fraction(1, 1), 1, 1, True),), dimension=1, total_predicted=1, "
+        "annihilates=True)",
+        "entries dimension total_predicted annihilates",
     ),
     (
         StationaryVector(((1, 2), (2, 1)), (F(1, 3), F(2, 3))),
