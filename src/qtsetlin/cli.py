@@ -17,7 +17,15 @@ from fractions import Fraction
 
 from .combinatorics import state_key
 from .exact import format_rational, parse_rational
-from .hecke_chains import FLAG_STATE_CAP, SUITES, Chain, PermRates, WordRates
+from .hecke_chains import (
+    FLAG_STATE_CAP,
+    SUITES,
+    Chain,
+    PermRates,
+    WordRates,
+    generic_perm_rates,
+    generic_word_rates,
+)
 
 __all__ = ["main", "build_parser", "ConfigError"]
 
@@ -70,8 +78,6 @@ def _perm_rates(args, q):
     """--rates at q, checked against --n, or generic rates from --seed."""
     x = _given_rates(args)
     if x is None:
-        from .spectra import generic_perm_rates
-
         return generic_perm_rates(args.n, seed=args.seed or 0, q=q)
     if len(x) != args.n:
         raise ConfigError(f"expected {args.n} rates, got {len(x)}")
@@ -82,8 +88,6 @@ def _word_rates(args, m, q):
     """--rates at q, checked against the composition, or generic rates."""
     xbar = _given_rates(args)
     if xbar is None:
-        from .spectra import generic_word_rates
-
         return generic_word_rates(m, seed=args.seed or 0, q=q)
     if len(xbar) != len(m):
         raise ConfigError(f"expected {len(m)} rates, got {len(xbar)}")

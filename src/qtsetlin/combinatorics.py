@@ -12,6 +12,7 @@ the chains: a word whose letter j stands for the next label of chain j.
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 
 __all__ = [
     "inv",
@@ -111,8 +112,9 @@ def destandardize(perm, m):
     return tuple(letter[v] for v in perm)
 
 
+@lru_cache(maxsize=1024)
 def q_int(k: int, q) -> Fraction:
-    """[k]_q = 1 + q + ... + q^(k-1), valid at q = 1."""
+    """[k]_q = 1 + q + ... + q^(k-1), valid at q = 1; memoized per (k, q)."""
     q = Fraction(q)
     total = Fraction(0)
     power = Fraction(1)
@@ -220,12 +222,13 @@ def poset_derangements(m, removed=None) -> int:
     """
     if removed is None:
         removed = (0,) * len(m)
-    trimmed = tuple(part - cut for part, cut in zip(m, removed) if part - cut > 0)
-    count = 0
-    for ext in linear_extensions(trimmed):
-        if all(e != j for j, e in enumerate(ext, start=1)):
-            count += 1
-    return count
+    return _chain_union_derangements(tuple(part - cut for part, cut in zip(m, removed) if part - cut > 0))
+
+
+@lru_cache(maxsize=1024)
+def _chain_union_derangements(m) -> int:
+    """poset_derangements of the chain union with content m, once per m."""
+    return sum(1 for ext in linear_extensions(m) if all(e != j for j, e in enumerate(ext, start=1)))
 
 
 def seq_to_str(seq) -> str:

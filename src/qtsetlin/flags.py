@@ -408,6 +408,20 @@ def lrb_product(a: PartialFlag, b: PartialFlag) -> PartialFlag:
     return PartialFlag.from_vectors([*a.chain, *b.chain], a.n, a.p)
 
 
+def _path_weights(rates: PermRates, p: int):
+    """(D, [D y_1, ..., D y_n]) with D the lcm of the line weights' denominators,
+    after checking p and that the rates sum to 1; kept in the rates' factor
+    memo under ("path", p), so it is computed once per (rates, p).  A failed
+    check raises before anything is kept, so it fails on every call."""
+    memo = rates._factor_memo
+    if (weights := memo.get(("path", p))) is None:
+        _check_rates(rates, p)
+        if rates.total() != 1:
+            raise ValueError("the path method requires rates summing to 1")
+        weights = memo["path", p] = integer_numerators([rates.y(i) for i in range(1, rates.n + 1)])
+    return weights
+
+
 def rcayley_stationary(rates: PermRates, p: int, flag: FlagRep) -> Fraction:
     """Stationary mass of a complete flag via transition-edge paths in the
     right Cayley graph of the partial-flag semigroup.
@@ -421,11 +435,8 @@ def rcayley_stationary(rates: PermRates, p: int, flag: FlagRep) -> Fraction:
     the weight entering at step j times D and stab_j = sw_1 + ... + sw_j,
     the value is prod_j sw_j * D^(n-1) / (D^n * prod_{j<n} (D - stab_j)).
     """
-    _check_rates(rates, p)
-    if rates.total() != 1:
-        raise ValueError("the path method requires rates summing to 1")
+    scale, ys = _path_weights(rates, p)
     n = flag.n
-    scale, ys = integer_numerators([rates.y(i) for i in range(1, n + 1)])
     codes, cols = _flag_codes(flag)
     leads = [col.index(1) for col in flag.cols]
     step_weight = [0] * (n + 1)

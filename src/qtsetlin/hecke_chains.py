@@ -35,10 +35,11 @@ products of generator matrices, as an independent oracle.
 """
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import factorial
+from types import MappingProxyType
 
-from .combinatorics import q_factorial, q_int, word_states
+from .combinatorics import enumerate_upper_sets, q_factorial, q_int, word_states
 from .exact import Matrix, integer_numerators, mat_mul, record, state_matrix
 
 __all__ = [
@@ -51,6 +52,8 @@ __all__ = [
     "weight_op_word",
     "transition_matrix_perm",
     "transition_matrix_word",
+    "generic_perm_rates",
+    "generic_word_rates",
     "Chain",
 ]
 
@@ -79,6 +82,10 @@ class WordRates(record("WordRates", "q xbar m")):
         return len(self.m)
 
     def total(self) -> Fraction:
+        return self._total
+
+    @cached_property
+    def _total(self) -> Fraction:
         return sum(self.xbar, Fraction(0))
 
     def n_j(self, j: int) -> int:
@@ -87,9 +94,31 @@ class WordRates(record("WordRates", "q xbar m")):
 
     def ybar(self, j: int) -> Fraction:
         """ybar_j = xbar_j / (q^(n - n_j) [m_j]_q), 1-based."""
-        return self.xbar[j - 1] / (
-            self.q ** (self.n - self.n_j(j)) * q_int(self.m[j - 1], self.q)
-        )
+        return self._ybar[j - 1]
+
+    @cached_property
+    def _ybar(self) -> tuple:
+        out = []
+        n_j = 0
+        for xbar, part in zip(self.xbar, self.m):
+            n_j += part
+            out.append(xbar / (self.q ** (self.n - n_j) * q_int(part, self.q)))
+        return tuple(out)
+
+    @cached_property
+    def upper_set_values(self) -> MappingProxyType:
+        """Read-only {a: lambda_a} for every upper set a of
+        `enumerate_upper_sets(m)`, in its order: lambda_a = sum_j ybar_j
+        q^(a_{j+1} + ... + a_l) [a_j]_q over the letters with a_j > 0."""
+        q = self.q
+        out = {}
+        for a in enumerate_upper_sets(self.m):
+            value = Fraction(0)
+            for j, aj in enumerate(a):
+                if aj:
+                    value += self._ybar[j] * q ** sum(a[j + 1 :]) * q_int(aj, q)
+            out[a] = value
+        return MappingProxyType(out)
 
     @cached_property
     def kappa_coeffs(self) -> tuple:
@@ -103,8 +132,17 @@ class WordRates(record("WordRates", "q xbar m")):
         return tuple(out)
 
     @cached_property
+    def kappa_ints(self) -> tuple:
+        """(L, (L c_1, ..., L c_l)): the kappa coefficients as integers over
+        the lcm L of their denominators."""
+        d, ints = integer_numerators(self.kappa_coeffs)
+        return d, tuple(ints)
+
+    @cached_property
     def _factor_memo(self) -> dict:
-        """Closed-form factors evaluated so far, kept by `stationary.word_factors`."""
+        """Values derived from the rates on first use and kept: the word
+        closed-form factors (`stationary._factor_memo`) and, under ("path",
+        p), the path method's line weights (`flags._path_weights`)."""
         return {}
 
 
@@ -122,8 +160,42 @@ class PermRates(WordRates):
         return self.xbar
 
     def y(self, i: int) -> Fraction:
-        """Change of variables y_i = x_i / q^(n-i), 1-based."""
-        return self.xbar[i - 1] / self.q ** (self.n - i)
+        """Change of variables y_i = x_i / q^(n-i), 1-based: ybar_i at content (1^n)."""
+        return self._ybar[i - 1]
+
+
+def _random_positive_rationals(count, rng):
+    vals = [Fraction(rng.randint(1, 40), rng.randint(41, 97)) for _ in range(count)]
+    total = sum(vals, Fraction(0))
+    return tuple(v / total for v in vals)
+
+
+def generic_perm_rates(n: int, seed=0, q=None) -> PermRates:
+    """The word sampler at content (1^n), whose upper-set eigenvalues are the
+    subset eigenvalues."""
+    return _sample_rates((1,) * n, seed, q, PermRates)
+
+
+def generic_word_rates(m, seed=0, q=None) -> WordRates:
+    """Random positive letter rates summing to 1, resampled until the
+    upper-set eigenvalues are pairwise distinct.  Equal arguments give the
+    same (frozen) object, with its memos and its upper-set values."""
+    return _sample_rates(tuple(m), seed, q, WordRates)
+
+
+@lru_cache(maxsize=256)
+def _sample_rates(m, seed, q, kind):
+    import random
+
+    rng = random.Random(seed)
+    for _ in range(200):
+        qq = q if q is not None else Fraction(rng.randint(2, 7))
+        xbar = _random_positive_rationals(len(m), rng)
+        rates = PermRates(qq, xbar) if kind is PermRates else WordRates(qq, xbar, m)
+        values = rates.upper_set_values.values()
+        if len(set(values)) == len(values):
+            return rates
+    raise ValueError(f"no rates with distinct eigenvalues found for m={tuple(m)} at q={q}")
 
 
 class LinearOperator(record("LinearOperator", "states matrix")):

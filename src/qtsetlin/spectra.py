@@ -22,21 +22,15 @@ one unit row vector at a time, and a row stops as soon as it vanishes.
 Nothing is modular or randomized.
 """
 
-import random
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
 
-from .combinatorics import (
-    derangement,
-    enumerate_upper_sets,
-    poset_derangements,
-    q_derangement,
-    q_int,
-)
+from .combinatorics import derangement, poset_derangements, q_derangement
 from .exact import Matrix, format_rational, rank_nullity, record, shift
-from .hecke_chains import LinearOperator, PermRates, WordRates
+# The rate sampler lives with the rates; `bench/tracer.py` and callers of
+# `spectra` find it here too.
+from .hecke_chains import LinearOperator, PermRates, WordRates, generic_perm_rates, generic_word_rates
 
 __all__ = [
     "EigenEntry",
@@ -56,28 +50,17 @@ class EigenEntry(record("EigenEntry", "label value multiplicity")):
     the word chain; multiplicity may be zero."""
 
 
-def upper_set_eigenvalue(a, rates: WordRates) -> Fraction:
-    """lambda_a = sum_j ybar_j q^(a_{j+1} + ... + a_l) [a_j]_q over the letters
-    with a_j > 0."""
-    q = rates.q
-    total = Fraction(0)
-    for j, aj in enumerate(a, start=1):
-        if aj:
-            total += rates.ybar(j) * q ** sum(a[j:]) * q_int(aj, q)
-    return total
-
-
 def eigen_catalog_perm(rates: PermRates):
     """One entry per subset S of [n], labelled by S as a decreasing tuple;
     the value is the upper-set eigenvalue of S's 0/1 indicator, and the
     multiplicity derangement(n - |S|)."""
     n = rates.n
+    values = rates.upper_set_values
     out = []
     for k in range(n + 1):
         for combo in combinations(range(1, n + 1), k):
             indicator = tuple(int(i in combo) for i in range(1, n + 1))
-            label = combo[::-1]
-            out.append(EigenEntry(label, upper_set_eigenvalue(indicator, rates), derangement(n - k)))
+            out.append(EigenEntry(combo[::-1], values[indicator], derangement(n - k)))
     return out
 
 
@@ -85,8 +68,8 @@ def eigen_catalog_word(rates: WordRates):
     """One entry per upper set of the chain-union poset; multiplicity is the
     poset-derangement count of the truncated poset."""
     return [
-        EigenEntry(tuple(a), upper_set_eigenvalue(a, rates), poset_derangements(rates.m, a))
-        for a in enumerate_upper_sets(rates.m)
+        EigenEntry(a, value, poset_derangements(rates.m, a))
+        for a, value in rates.upper_set_values.items()
     ]
 
 
@@ -256,35 +239,3 @@ def _spectral_pass(m: Matrix, values: tuple):
         else:
             return None
     return scaled, traces
-
-
-def _random_positive_rationals(count, rng):
-    vals = [Fraction(rng.randint(1, 40), rng.randint(41, 97)) for _ in range(count)]
-    total = sum(vals, Fraction(0))
-    return tuple(v / total for v in vals)
-
-
-def generic_perm_rates(n: int, seed=0, q=None) -> PermRates:
-    """The word sampler at content (1^n), whose upper-set eigenvalues are the
-    subset eigenvalues."""
-    rates = generic_word_rates((1,) * n, seed, q)
-    return PermRates(rates.q, rates.xbar)
-
-
-def generic_word_rates(m, seed=0, q=None) -> WordRates:
-    """Random positive letter rates summing to 1, resampled until the
-    upper-set eigenvalues are pairwise distinct.  Equal arguments give the
-    same (frozen) object, with its factor memo."""
-    return _sample_word_rates(tuple(m), seed, q)
-
-
-@lru_cache(maxsize=256)
-def _sample_word_rates(m, seed, q):
-    rng = random.Random(seed)
-    for _ in range(200):
-        qq = q if q is not None else Fraction(rng.randint(2, 7))
-        rates = WordRates(qq, _random_positive_rationals(len(m), rng), m)
-        values = [upper_set_eigenvalue(a, rates) for a in enumerate_upper_sets(m)]
-        if len(set(values)) == len(values):
-            return rates
-    raise ValueError(f"no rates with distinct eigenvalues found for m={tuple(m)} at q={q}")

@@ -11,30 +11,46 @@ the word chain at content (1^n), so `kappa_word` and `word_factors` take
 version.
 
 Each factor of a word w depends on little of it: the prefactor on inv(w), the
-k-th denominator on the content of w[:k-1], the k-th numerator on the content
-of w[p_k-1:k-1] and the letter w_k.  `_position_factors` evaluates both
-factors at position k from w[:k] and memoizes them under that data on the
-rates (`WordRates._factor_memo`), once per sub-multiset; `word_factors` and
-the walk below both call it.
+k-th denominator on the content of w[:k-1], the k-th numerator on the letter
+v = w_k and the content of the letters below v in w[:k-1].  (The numerator
+is kappa(s v) - kappa(s)/q on the segment s = w[p_k-1:k-1], which starts at
+the first letter below v.  A letter of s at or above v sorts before v in
+both kappas, at the same power of q, so it cancels; every letter before p_k
+is at or above v.)  A content is keyed by its integer code sum_j count_j w_j
+with w_j = (m_1 + 1) ... (m_{j-1} + 1), so the code of the letters below v
+is the code mod w_v, and a numerator is keyed by v * radix + that
+(radix = w_{l+1}).  Every factor is a
+sum of c_j q^(-e) terms, 1 <= e <= n, and of the total rate, so `scale`, the
+lcm of the denominators of the c_j and the total times |qn|^n, makes each an
+integer; the memo on the rates (`WordRates._factor_memo`, set up by
+`_factor_memo`) keeps scale times each factor, evaluated once per key by
+`_position_factors`.  A word has n - 1 numerator and n - 1 denominator
+factors, so the scales cancel.  `word_factors` and the walk below share the
+memo.
 
 Since the k-th factors read only w[:k], `stationary_word_formula` evaluates
 the closed form in one depth-first walk of the prefix tree, visiting the
 prefixes in lexicographic order, so the words come out in `word_states`
-order.  It carries three values down the tree: the inversion number (a
-letter adds the count of smaller letters still to place) and the integer
-numerator and denominator of the factors fixed so far.  A prefix of length k
-multiplies in its k-th numerator and denominator factor, so every factor is
-read once per prefix rather than once per word, and each leaf builds one
-Fraction with its prefactor.  A vanishing denominator stops the walk at the
-first prefix that has one and names the first word below it, the same word
-and k the per-word product reports; numerators that vanish do not stop it.
+order.  A node loops over the letters still left, one step per edge of the
+tree, and carries the content code, the inversion number (a letter adds the
+count of smaller letters still to place) and the integer products of the
+numerator and denominator factors fixed so far.
+Each leaf builds one Fraction with its prefactor.  A vanishing denominator
+stops the walk at the first prefix that has one and names the first word
+below it, the same word and k the per-word product reports; numerators that
+vanish do not stop it.
+
+`StationaryVector.total` adds the values as int pairs, with one Fraction at
+the end, and `as_dict` picks its state printer once per vector.
 """
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import chain
+from math import gcd, lcm
 
 from .combinatorics import inv, perm_states, q_factorial, state_key
-from .exact import _combine_rows, format_rational, integer_numerators, left_null_space, record, shift
+from .exact import _combine_rows, integer_numerators, left_null_space, record, shift
 from .hecke_chains import LinearOperator, PermRates, WordRates
 
 __all__ = [
@@ -62,7 +78,21 @@ class StationaryVector(record("StationaryVector", "states values")):
         return self.values[self._index[state]]
 
     def total(self) -> Fraction:
-        return sum(self.values, Fraction(0))
+        """The exact sum, added pairwise on (numerator, denominator) ints
+        over the lcm of the denominators, with one gcd per addition and one
+        Fraction at the end.  A binary counter keeps one pending partial sum
+        per level, so no second list of the values is made."""
+        pending = []
+        for i, v in enumerate(self.values, start=1):
+            a, b = v.numerator, v.denominator
+            while not i & 1:
+                a, b = _add_pair(*pending.pop(), a, b)
+                i >>= 1
+            pending.append((a, b))
+        a, b = 0, 1
+        for pair in pending:
+            a, b = _add_pair(*pair, a, b)
+        return Fraction(a, b)
 
     def normalized(self) -> "StationaryVector":
         s = self.total()
@@ -86,7 +116,34 @@ class StationaryVector(record("StationaryVector", "states values")):
         return all(b * x == da * v for x, v in zip(lhs, ints))
 
     def as_dict(self):
-        return {state_key(s): format_rational(v) for s, v in zip(self.states, self.values)}
+        """{state_key(state): format_rational(value)}, with the state printer
+        picked once for the vector (see `_state_names`) and each value
+        printed by `str`, which for a Fraction is the same string."""
+        return dict(zip(_state_names(self.states), map(str, self.values)))
+
+
+def _add_pair(a, b, c, d):
+    """a/b + c/d as an int pair over lcm(b, d), not reduced further."""
+    g = gcd(b, d)
+    return a * (d // g) + c * (b // g), b // g * d
+
+
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
+def _state_names(states):
+    """`state_key` of every state: `to_str` for flags, a digit string for
+    every state when each letter of each is 0..9, and otherwise `state_key`
+    state by state (commas for the states with a letter above 9)."""
+    if states and hasattr(states[0], "to_str"):
+        return [s.to_str() for s in states]
+    try:
+        digits = max(bytes(chain.from_iterable(states)), default=0) <= 9
+    except (TypeError, ValueError):
+        digits = False
+    if digits:
+        return [bytes(s).translate(_DIGITS).decode() for s in states]
+    return [state_key(s) for s in states]
 
 
 def kappa_word(b, rates: WordRates) -> Fraction:
@@ -95,13 +152,17 @@ def kappa_word(b, rates: WordRates) -> Fraction:
     `PermRates` is sum_i x_{b_i} q^(i + b_i - k - 1); empty tuple gives 0.
 
     With c_j = xbar_j q^(n_j) / [m_j]_q this is sum_i c_{b_i} q^(i - k - 1),
-    evaluated by Horner's rule in 1/q."""
-    c = rates.kappa_coeffs
-    q_inv = 1 / rates.q
-    total = Fraction(0)
+    evaluated by Horner's rule in 1/q on integers: with c_j = C_j / L and
+    q = qn/qd, the sum after t letters is A / (L qn^t), and the next letter
+    v makes it (A + C_v qn^t) qd / (L qn^(t+1))."""
+    scale, coeffs = rates.kappa_ints
+    qn, qd = rates.q.numerator, rates.q.denominator
+    a = 0
+    power = 1
     for v in sorted(b, reverse=True):
-        total = (total + c[v - 1]) * q_inv
-    return total
+        a = (a + coeffs[v - 1] * power) * qd
+        power *= qn
+    return Fraction(a, scale * power)
 
 
 @lru_cache(maxsize=64)
@@ -115,38 +176,64 @@ def _fiber_factor(m, q) -> Fraction:
     return out
 
 
-def _prefactor(inversions, rates: WordRates) -> Fraction:
-    """q^(-inv(w)) times the fiber factor, memoized under the inversion number."""
+def _factor_memo(rates: WordRates) -> dict:
+    """The rates' factor memo (see the module docstring), set up on first
+    use: the content-code weights w_j (index j) and radix, the common
+    denominator `scale` of the factors, the prefactor as an int pair per
+    inversion number, and the "den" and "num" tables, filled on use."""
     memo = rates._factor_memo
-    if (pre := memo.get(("pre", inversions))) is None:
-        pre = memo["pre", inversions] = rates.q**-inversions * _fiber_factor(rates.m, rates.q)
-    return pre
+    if "den" not in memo:
+        q = rates.q
+        weights = [0]
+        radix = 1
+        for part in rates.m:
+            weights.append(radix)
+            radix *= part + 1
+        # A factor is a sum of c_j q^(-e) terms, 1 <= e <= n, and of the total.
+        scale = lcm(rates.total().denominator, rates.kappa_ints[0])
+        scale *= abs(q.numerator) ** rates.n
+        fiber = _fiber_factor(rates.m, q)
+        most = (rates.n**2 - sum(part * part for part in rates.m)) // 2
+        pre = [fiber * q**-i for i in range(most + 1)]
+        memo.update(
+            weights=tuple(weights), radix=radix, scale=scale, den={}, num={},
+            pre=[(x.numerator, x.denominator) for x in pre],
+        )
+    return memo
 
 
 def _position_factors(word, k, rates: WordRates):
-    """(numerator, denominator) factor at position k, 1 <= k < n, of a word
-    whose first k letters are `word[:k]`; nothing later is read."""
-    memo = rates._factor_memo
-    q = rates.q
+    """scale times the (numerator, denominator) factor at position k,
+    1 <= k < n, of a word whose first k letters are `word[:k]`; nothing
+    later is read.  Each is read from the memo under its key and evaluated
+    on a miss."""
+    memo = _factor_memo(rates)
+    weights, scale = memo["weights"], memo["scale"]
     prefix = word[: k - 1]
-    key = ("den", tuple(sorted(prefix)))
-    if (d := memo.get(key)) is None:
-        d = memo[key] = rates.total() - q ** (k - rates.n - 1) * kappa_word(prefix, rates)
-    # The segment runs from p_k to k - 1; it is empty at a left-to-right minimum.
+    code = sum(weights[u] for u in prefix)
+    if (d := memo["den"].get(code)) is None:
+        x = rates.total() - rates.q ** (k - 1 - rates.n) * kappa_word(prefix, rates)
+        d = memo["den"][code] = x.numerator * (scale // x.denominator)
     v = word[k - 1]
-    i = next((j for j in range(k - 1) if word[j] < v), k - 1)
-    segment = word[i : k - 1]
-    key = ("num", tuple(sorted(segment)), v)
-    if (f := memo.get(key)) is None:
-        f = memo[key] = kappa_word(word[i:k], rates) - kappa_word(segment, rates) / q
+    key = v * memo["radix"] + code % weights[v]
+    if (f := memo["num"].get(key)) is None:
+        below = [u for u in prefix if u < v]
+        x = kappa_word((*below, v), rates) - kappa_word(below, rates) / rates.q
+        f = memo["num"][key] = x.numerator * (scale // x.denominator)
     return f, d
 
 
 def word_factors(word, rates: WordRates):
     """(prefactor, numerator factors, denominator factors) for one word,
-    each looked up in the rates' factor memo under the data it depends on."""
+    each read from the rates' factor memo under the data it depends on."""
     pairs = [_position_factors(word, k, rates) for k in range(1, rates.n)]
-    return _prefactor(inv(word), rates), [f for f, _ in pairs], [d for _, d in pairs]
+    memo = _factor_memo(rates)
+    scale = memo["scale"]
+    return (
+        Fraction(*memo["pre"][inv(word)]),
+        [Fraction(f, scale) for f, _ in pairs],
+        [Fraction(d, scale) for _, d in pairs],
+    )
 
 
 def _product_of_factors(state, nums, dens):
@@ -173,33 +260,46 @@ def stationary_word_formula(rates: WordRates) -> StationaryVector:
     """The closed form on every word, in one depth-first walk of the prefix
     tree (see the module docstring)."""
     n = rates.n
-    letters = range(1, rates.letters + 1)
+    memo = _factor_memo(rates)
+    weights, radix, dens, nums, pre = (memo[k] for k in ("weights", "radix", "den", "num", "pre"))
     remaining = [0, *rates.m]
+    left = list(range(1, rates.letters + 1))
+    if n < 2:
+        return StationaryVector((tuple(left),), (Fraction(*pre[0]),))
     word, states, values = [], [], []
 
-    def walk(inversions, a, b):
-        k = len(word)
-        if k == n:
-            pre = _prefactor(inversions, rates)
-            states.append(tuple(word))
-            values.append(Fraction(a * pre.numerator, b * pre.denominator))
-            return
+    def walk(k, code, inversions, a, b):
+        if (d := dens.get(code)) is None:
+            d = _position_factors(word + left[:1], k + 1, rates)[1]
+        if not d:
+            name = state_key(word + [u for u in left for _ in range(remaining[u])])
+            raise ValueError(f"word formula denominator factor k={k + 1} vanishes at state {name}")
+        b *= d
         below = 0
-        for v in letters:
-            if not (count := remaining[v]):
+        for i in range(len(left)):
+            v = left[i]
+            if (f := nums.get(v * radix + code % weights[v])) is None:
+                f = _position_factors(word + [v], k + 1, rates)[0]
+            count = remaining[v]
+            if k == n - 2:
+                # Two letters are left: the child is a word with its last letter.
+                pn, pd = pre[inversions + below]
+                states.append((*word, v, left[1 - i] if count == 1 else v))
+                values.append(Fraction(a * f * pn, b * pd))
+                below += count
                 continue
-            remaining[v] -= 1
+            remaining[v] = count - 1
+            if count == 1:
+                del left[i]
             word.append(v)
-            f, d = _position_factors(word, k + 1, rates) if k + 1 < n else (1, 1)
-            if d == 0:
-                name = state_key(word + [u for u in letters for _ in range(remaining[u])])
-                raise ValueError(f"word formula denominator factor k={k + 1} vanishes at state {name}")
-            walk(inversions + below, a * f.numerator * d.denominator, b * f.denominator * d.numerator)
+            walk(k + 1, code + weights[v], inversions + below, a * f, b)
             word.pop()
-            remaining[v] += 1
+            if count == 1:
+                left.insert(i, v)
+            remaining[v] = count
             below += count
 
-    walk(0, 1, 1)
+    walk(0, 0, 0, 1, 1)
     return StationaryVector(tuple(states), tuple(values))
 
 

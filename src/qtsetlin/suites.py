@@ -28,6 +28,8 @@ from .hecke_chains import (
     Chain,
     PermRates,
     WordRates,
+    generic_perm_rates,
+    generic_word_rates,
     hecke_generator_perm,
     hecke_generator_word,
 )
@@ -37,11 +39,7 @@ from .lumping import (
     proj_flags_to_perms,
     proj_perms_to_words,
 )
-from .spectra import (
-    generic_perm_rates,
-    generic_word_rates,
-    verify_multiplicities,
-)
+from .spectra import verify_multiplicities
 from .stationary import (
     classical_tsetlin_stationary,
     flag_coset_factors,

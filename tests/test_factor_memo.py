@@ -2,10 +2,10 @@
 
 `word_factors` looks each factor up in a memo on the rates, keyed by the
 state data the factor depends on: the inversion number for the prefactor,
-the sorted prefix for a denominator, the sorted segment from p_k and the
-letter for a numerator.  `reference_word_factors` evaluates every factor of
-one word from scratch, with `lrm_positions` and `p_k`, and must agree with it
-list for list.
+the content of the prefix for a denominator, the letter and the content of
+the prefix letters below it for a numerator.  `reference_word_factors`
+evaluates every factor of one word from scratch, on the segment from p_k
+with `lrm_positions` and `p_k`, and must agree with it list for list.
 """
 
 import random

@@ -24,8 +24,9 @@ BASE = {"cli", "combinatorics", "exact", "hecke_chains"}
 FOOTPRINT = {
     "matrix --space perm --n 3 --q 2 --rates 1/2,1/3,1/6": BASE,
     "matrix --space word --m 1,2 --q 2 --rates 1/2,1/2": BASE,
-    # Sampled rates come from the spectra layer.
-    "matrix --space perm --n 3 --q 2": BASE | {"spectra"},
+    # Rates sampled from --seed come from the rates' own layer.
+    "matrix --space perm --n 3 --q 2": BASE,
+    "matrix --space word --m 1,2 --q 2 --seed 3": BASE,
     "matrix --space flag --n 2 --p 2 --rates 1/2,1/2": BASE | {"flags"},
     "stationary --space perm --n 3 --q 2 --rates 1/2,1/3,1/6": BASE | {"stationary"},
     "stationary --space word --m 1,2 --q 2 --rates 1/2,1/2 --method all": BASE | {"stationary"},
