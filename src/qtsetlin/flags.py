@@ -11,12 +11,13 @@ Column operations only ever add earlier columns to later ones or rescale, so
 they never change the chain of column spans.
 
 All F_p vector arithmetic runs on `_VectorCodes`, one per (n, p), on
-vectors coded as ints, through two walks: `reduce` to canonical columns (for
-the line-insertion table, `insert_line`, the coset action and the subspaces of
-partial flags, which are canonical columns with every pivot row cleared, so
-subspace equality is tuple equality) and `entry_step`, the step at which a
-vector enters a flag (for the path method).  Codes are decoded only where a
-`FlagRep` or a basis is returned.
+vectors coded as ints, through three walks: `reduce` to canonical columns
+(for the line-insertion table, `insert_line` and the coset action),
+`extend`, which grows a reduced echelon basis one vector at a time (for the
+subspaces of partial flags, whose pivot rows are cleared in every other
+basis vector, so subspace equality is tuple equality), and `entry_step`, the
+step at which a vector enters a flag (for the path method).  Codes are
+decoded only where a `FlagRep` or a basis is returned.
 
 `insert_line` re-canonicalizes the whole flag with the line in front; the
 line-insertion table does not.  A canonical column c_k is the unique
@@ -185,6 +186,33 @@ class _VectorCodes:
             elif stop:
                 break
         return out, placed
+
+    def extend(self, placed, vectors):
+        """Add the vectors to `placed`, the (lead row, code) pairs of a
+        reduced echelon basis sorted by lead row, in place.
+
+        Each vector is reduced at the placed pivot rows and normalized; its
+        lead row is then cleared from the placed columns.  The vector
+        vanishes at their pivot rows, so they stay reduced.  A column is
+        changed only when it is nonzero at the vector's lead row, which then
+        lies below the column's lead, and the vector is zero above that row,
+        so every lead stays in place.
+        """
+        p, weights, minus, pivot = self.p, self.weights, self.minus, self.pivot
+        for v in vectors:
+            x = self.encode(v)
+            for row, col in placed:
+                c = x // weights[row] % p
+                if c:
+                    x = minus[x, c, col]
+            if x:
+                lead, x = pivot[x]
+                weight = weights[lead]
+                for i, (row, col) in enumerate(placed):
+                    c = col // weight % p
+                    if c:
+                        placed[i] = row, minus[col, c, x]
+                bisect.insort(placed, (lead, x))
 
     def entry_step(self, cols, leads, v) -> int:
         """The least j with v in V_j (0 for v = 0), for the column codes of
@@ -369,36 +397,38 @@ def transition_matrix_flags_hecke(rates: PermRates, p: int) -> LinearOperator:
 # Subspaces and the partial-flag semigroup
 
 
-def span_basis(vectors, p):
-    """Reduced echelon basis of the span, ordered by pivot row.
+def _span_steps(n, p, batches):
+    """The reduced echelon basis, ordered by pivot row, of the span of the
+    batches so far, after each batch that grows it; so never the zero
+    subspace."""
+    codes = _vector_codes(n, p)
+    placed = []
+    for batch in batches:
+        size = len(placed)
+        codes.extend(placed, batch)
+        if len(placed) > size:
+            yield tuple(codes.decode(col) for _, col in placed)
 
-    The canonical columns of the vectors are fed back lowest pivot first:
-    each column's pivot then lies above every pivot placed before it, so the
-    sweep clears all the other pivot rows and leaves every pivot in place.
-    """
+
+def span_basis(vectors, p):
+    """Reduced echelon basis of the span, ordered by pivot row."""
     vectors = list(vectors)
     if not vectors:
         return ()
-    codes = _vector_codes(len(vectors[0]), p)
-    _, placed = codes.reduce([codes.encode(v) for v in vectors])
-    out, _ = codes.reduce([col for _, col in reversed(placed)])
-    return tuple(map(codes.decode, reversed(out)))
+    return next(_span_steps(len(vectors[0]), p, [vectors]), ())
 
 
 class PartialFlag(record("PartialFlag", "chain n p")):
-    """Strictly increasing chain of subspaces, each a reduced echelon basis."""
+    """Strictly increasing chain of nonzero subspaces, each a reduced
+    echelon basis."""
 
     @classmethod
     def from_vectors(cls, vector_chains, n, p):
         """Build from cumulative spanning vectors, one batch per step: each
         step spans the top subspace so far plus its batch, and batches that
-        do not grow the span are dropped."""
-        chain = []
-        for vecs in vector_chains:
-            sub = span_basis([*(chain[-1] if chain else ()), *vecs], p)
-            if not chain or sub != chain[-1]:
-                chain.append(sub)
-        return cls(tuple(chain), n, p)
+        do not grow the span are dropped, so the empty flag is the identity
+        of `lrb_product`."""
+        return cls(tuple(_span_steps(n, p, vector_chains)), n, p)
 
 
 def lrb_product(a: PartialFlag, b: PartialFlag) -> PartialFlag:

@@ -17,14 +17,16 @@ certificate fails is each nullity computed by fraction-free elimination
 
 The pass runs on the integer rows of D M, where D is the lcm of M's stored
 denominator and those of the catalog values (the stored rows are rescaled
-only when it is larger), so each D lambda is an integer.  It is applied to
-one unit row vector at a time, and a row stops as soon as it vanishes.
-Nothing is modular or randomized.
+only when it is larger), so each D lambda is an integer.  It keeps each row
+of the running product as one int, one fixed-width slot per column, wide
+enough for a proved bound on every entry, so one factor costs one big-int
+multiply-add per nonzero of M.  Nothing is modular or randomized.
 """
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import lcm
+from operator import mul
 
 from .combinatorics import derangement, poset_derangements, q_derangement
 from .exact import Matrix, format_rational, rank_nullity, record, shift
@@ -43,6 +45,10 @@ __all__ = [
     "generic_perm_rates",
     "generic_word_rates",
 ]
+
+
+# Bits of packed rows held at once by one column block of `_spectral_pass`.
+_BLOCK_BITS = 1 << 27
 
 
 class EigenEntry(record("EigenEntry", "label value multiplicity")):
@@ -202,40 +208,62 @@ def _certified(result, merged) -> bool:
 
 def _spectral_pass(m: Matrix, values: tuple):
     """(D l_i, traces) when the product of (M - l_i I) over `values` is zero,
-    else None; traces[t] is the trace of prod_{i<t} (D M - D l_i I).
+    else None; traces[t] is the trace of P_t = prod_{i<t} (D M - D l_i I).
 
-    Row s of the product is e_s times the factors, one after the other; on
-    the integer rows of D M a factor is w <- w (D M) - (D l) w.  Dividing w
-    by the gcd of its entries keeps it exactly as zero as it was, and the
-    product of the gcds divided out so far restores its diagonal entry w[s]
-    for the traces.  A row that vanishes stops and adds nothing to the
-    later traces.
+    Each row of P_t is kept as one int, with one slot of `width` bits per
+    column (Kronecker substitution).  On the integer rows of A = D M a
+    factor is row_r(P_{t+1}) = sum_j A[r, j] row_j(P_t) - (D l_t) row_r(P_t),
+    one multiply-add per nonzero of A on whole packed rows; the factors
+    commute, so multiplying from the left builds the same product.
+
+    With R the largest row sum of |A|, every entry of every P_t is at most
+    B = prod_i max(1, R + |D l_i|), and a slot of B.bit_length() + 1 bits
+    holds it with its sign.  Packing is linear and one-to-one on such rows,
+    so a packed row is zero exactly when the row is, and P_t[k, k] is slot
+    k of row k: adding `half` to every slot leaves each slot in [0, 2^width)
+    with no borrow from the slots below.
+
+    The columns are taken in blocks whose packed rows hold about _BLOCK_BITS
+    bits in all; P_t restricted to a block's columns obeys the same
+    recurrence, and column k is slot k - start of its block.  A block whose
+    product vanishes stops and adds nothing to the later traces.
     """
     scale = lcm(m.denominator, *(v.denominator for v in values))
     factor = scale // m.denominator
-    rows = [tuple((k, x * factor) for k, x in row.items()) for row in m.int_rows]
+    rows = [(tuple(row), tuple(x * factor for x in row.values())) for row in m.int_rows]
     scaled = [int(v * scale) for v in values]
+    width = _slot_width(rows, scaled)
+    half, mask = 1 << (width - 1), (1 << width) - 1
     traces = [0] * len(scaled)
     size = m.rows
-    for s in range(size):
-        w = [0] * size
-        w[s] = 1
-        divided = 1
+    block = max(1, _BLOCK_BITS // (width * size or 1))
+    for start in range(0, size, block):
+        diagonal = range(start, min(start + block, size))
+        offset = half * ((1 << width * len(diagonal)) - 1) // mask
+        packed = [0] * size
+        for k in diagonal:
+            packed[k] = 1 << width * (k - start)
         for t, lam in enumerate(scaled):
-            if w[s]:
-                traces[t] += w[s] * divided
-            nxt = [-lam * a for a in w]
-            for a, row in zip(w, rows):
-                if a:
-                    for k, x in row:
-                        nxt[k] += a * x
-            g = gcd(*nxt)
-            if not g:
+            traces[t] += sum(
+                ((packed[k] + offset) >> width * (k - start)) & mask for k in diagonal
+            ) - half * len(diagonal)
+            get = packed.__getitem__
+            packed = [
+                sum(map(mul, coeffs, map(get, cols))) - lam * own
+                for (cols, coeffs), own in zip(rows, packed)
+            ]
+            if not any(packed):
                 break
-            if g > 1:
-                nxt = [x // g for x in nxt]
-                divided *= g
-            w = nxt
         else:
             return None
     return scaled, traces
+
+
+def _slot_width(rows, scaled) -> int:
+    """Bits of one slot of `_spectral_pass`: B.bit_length() + 1 for
+    B = prod_i max(1, R + |D l_i|), R the largest row sum of |D M|."""
+    reach = max((sum(map(abs, coeffs)) for _, coeffs in rows), default=0)
+    bound = 1
+    for lam in scaled:
+        bound *= max(1, reach + abs(lam))
+    return bound.bit_length() + 1

@@ -179,23 +179,27 @@ def reference_span_basis(vectors, p):
     return tuple(basis)
 
 
+# Neither reference keeps the zero subspace as a step, so the empty flag is
+# the identity of the product.
+
+
 def reference_from_vectors(vector_chains, n, p):
     chain = []
     seen = []
     for vecs in vector_chains:
         seen.extend(vecs)
         sub = reference_span_basis(seen, p)
-        if not chain or sub != chain[-1]:
+        if sub and (not chain or sub != chain[-1]):
             chain.append(sub)
     return PartialFlag(tuple(chain), n, p)
 
 
 def reference_lrb_product(a, b):
-    chain = list(a.chain)
+    chain = [sub for sub in a.chain if sub]
     top = list(a.chain[-1]) if a.chain else []
     for w in b.chain:
         joined = reference_span_basis(top + list(w), a.p)
-        if not chain or joined != chain[-1]:
+        if joined and (not chain or joined != chain[-1]):
             chain.append(joined)
     return PartialFlag(tuple(chain), a.n, a.p)
 
@@ -300,3 +304,22 @@ def test_path_method_equals_closed_form_on_every_flag_n4_p3():
     psi = stationary_flags_formula(rates, 3).normalized()
     assert len(psi.states) == 2080
     assert all(rcayley_stationary(rates, 3, f) == psi[f] for f in psi.states)
+
+
+@pytest.mark.parametrize("n, p", [(1, 2), (2, 3), (3, 2), (4, 5)])
+def test_zero_batches_give_the_empty_flag_which_is_the_identity(n, p):
+    zero = (0,) * n
+    e = PartialFlag((), n, p)
+    assert PartialFlag.from_vectors([[zero]], n, p) == e
+    assert PartialFlag.from_vectors([[zero, zero], [], [zero]], n, p) == e
+    assert reference_from_vectors([[zero]], n, p) == e
+    assert span_basis([zero], p) == ()
+    rng = random.Random(40 + n + p)
+    for _ in range(30):
+        x = _random_partial_flag(rng, n, p)
+        assert () not in x.chain
+        assert lrb_product(e, x) == x == lrb_product(x, e)
+        assert reference_lrb_product(e, x) == x == reference_lrb_product(x, e)
+    # a zero batch in front is not a step either
+    first = (1,) + (0,) * (n - 1)
+    assert PartialFlag.from_vectors([[zero], [first]], n, p).chain == ((first,),)

@@ -1,8 +1,12 @@
-"""The integer-row spectral certificate against the dense Fraction reference.
+"""The packed spectral certificate against the dense Fraction reference and
+the row-by-row pass it replaced.
 
 The reference is the plain statement of both checks: the nullity of the
 Fraction matrix M - lambda I by `rank_nullity`, and the dense product of the
 M - lambda I over the distinct catalog values compared with zero.
+`reference_spectral_pass` is the former pass, one unit row vector at a time
+with a gcd division per factor; the packed pass must return the same
+(scaled, traces) or None on every input, with any column blocking.
 
 `verify_multiplicities` proves the nullities by annihilation plus the trace
 identities and runs elimination only when that certificate fails; the cost
@@ -11,6 +15,7 @@ never reaches it.
 """
 
 from fractions import Fraction as F
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -290,3 +295,166 @@ def test_suite_and_cli_read_the_annihilation_verdict(monkeypatch, capsys):
     ]
     assert main(["spectrum", "--space", "flag", "--n", "2", "--p", "2", "--verify", "--format", "csv"]) == 1
     assert capsys.readouterr().out.endswith("all_pass,false,\n")
+
+
+# ---------------------------------------------------------------------------
+# The packed pass against the row-by-row pass
+
+
+def reference_spectral_pass(m: Matrix, values: tuple):
+    """(D l_i, traces) when the product of (M - l_i I) over `values` is zero,
+    else None; traces[t] is the trace of prod_{i<t} (D M - D l_i I).
+
+    Row s of the product is e_s times the factors, one after the other; on
+    the integer rows of D M a factor is w <- w (D M) - (D l) w.  Dividing w
+    by the gcd of its entries keeps it exactly as zero as it was, and the
+    product of the gcds divided out so far restores its diagonal entry w[s]
+    for the traces.  A row that vanishes stops and adds nothing to the
+    later traces.
+    """
+    scale = lcm(m.denominator, *(v.denominator for v in values))
+    factor = scale // m.denominator
+    rows = [tuple((k, x * factor) for k, x in row.items()) for row in m.int_rows]
+    scaled = [int(v * scale) for v in values]
+    traces = [0] * len(scaled)
+    size = m.rows
+    for s in range(size):
+        w = [0] * size
+        w[s] = 1
+        divided = 1
+        for t, lam in enumerate(scaled):
+            if w[s]:
+                traces[t] += w[s] * divided
+            nxt = [-lam * a for a in w]
+            for a, row in zip(w, rows):
+                if a:
+                    for k, x in row:
+                        nxt[k] += a * x
+            g = gcd(*nxt)
+            if not g:
+                break
+            if g > 1:
+                nxt = [x // g for x in nxt]
+                divided *= g
+            w = nxt
+        else:
+            return None
+    return scaled, traces
+
+
+def assert_pass_matches_reference(m, values):
+    got = spectra._spectral_pass(m, values)
+    assert got == reference_spectral_pass(m, values)
+    return got
+
+
+def merged_values(catalog):
+    return tuple(e.value for e in merge_catalog(catalog))
+
+
+@pytest.mark.parametrize("kind,arg", CHAINS, ids=[f"{k}-{a}" for k, a in CHAINS])
+def test_packed_pass_matches_row_pass_on_every_chain(kind, arg):
+    op, catalog = chain(kind, arg)
+    values = merged_values(catalog)
+    assert assert_pass_matches_reference(op.matrix, values) is not None
+    assert assert_pass_matches_reference(op.matrix, values[::-1]) is not None
+    for drop in [e.value for e in merge_catalog(catalog) if e.multiplicity > 0][:2]:
+        kept = tuple(v for v in values if v != drop)
+        assert assert_pass_matches_reference(op.matrix, kept) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(planted(), planted(jordan=True)))
+def test_packed_pass_matches_row_pass_on_planted_matrices(case):
+    op, catalog, _ = case
+    values = merged_values(catalog)
+    assert_pass_matches_reference(op.matrix, values)
+    assert_pass_matches_reference(op.matrix, values[:-1])
+
+
+square = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(small, min_size=n, max_size=n), min_size=n, max_size=n)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(square, pool)
+def test_packed_pass_matches_row_pass_on_any_small_matrix(rows, values):
+    assert_pass_matches_reference(Matrix(rows), tuple(values))
+
+
+EDGE_CASES = {
+    "zero 1x1 at 0": ([[0]], (0,)),
+    "zero 3x3 at 0": ([[0] * 3] * 3, (0,)),
+    "zero 2x2 at 1 then 0": ([[0, 0], [0, 0]], (1, 0)),
+    "zero 2x2 without 0": ([[0, 0], [0, 0]], (1, -2)),
+    "1x1": ([[F(-5, 3)]], (F(-5, 3),)),
+    "1x1 after another value": ([[F(-5, 3)]], (F(7, 2), F(-5, 3))),
+    "1x1 missed": ([[F(-5, 3)]], (F(5, 3),)),
+    "negative entries and values": ([[-2, F(1, 3)], [0, F(-7, 4)]], (F(-7, 4), -2)),
+    "vanishes before the last value": ([[1, 0, 0], [0, 2, 0], [0, 0, 1]], (1, 2, -3)),
+    "vanishes after the first value": ([[F(-1, 2), 0], [0, F(-1, 2)]], (F(-1, 2), 4, 5)),
+    "nilpotent": ([[0, 1], [0, 0]], (0,)),
+    "nilpotent with another value": ([[0, 1], [0, 0]], (0, 1)),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_CASES)
+def test_packed_pass_edge_cases(name):
+    rows, values = EDGE_CASES[name]
+    m = Matrix(rows)
+    values = tuple(F(v) for v in values)
+    result = assert_pass_matches_reference(m, values)
+    assert (result is not None) == reference_annihilation(m, [EigenEntry((), v, 0) for v in values])
+
+
+def recorded_widths(monkeypatch):
+    widths = []
+    original = spectra._slot_width
+
+    def recording(rows, scaled):
+        widths.append(original(rows, scaled))
+        return widths[-1]
+
+    monkeypatch.setattr(spectra, "_slot_width", recording)
+    return widths
+
+
+def chain_n(kind, arg):
+    return arg[0] if kind == "flags" else sum(arg) if kind == "word" else arg
+
+
+SMALL_CHAINS = [(kind, arg) for kind, arg in CHAINS if chain_n(kind, arg) <= 3]
+
+
+@pytest.mark.parametrize("kind,arg", SMALL_CHAINS, ids=[f"{k}-{a}" for k, a in SMALL_CHAINS])
+def test_slot_width_exceeds_every_entry_of_every_partial_product(kind, arg, monkeypatch):
+    op, catalog = chain(kind, arg)
+    values = merged_values(catalog)
+    widths = recorded_widths(monkeypatch)
+    assert spectra._spectral_pass(op.matrix, values) is not None
+    (width,) = widths
+    scale = lcm(op.matrix.denominator, *(v.denominator for v in values))
+    a = op.matrix * scale
+    ident = Matrix.identity(a.rows)
+    product = ident
+    for v in values:
+        product = mat_mul(product, a - (v * scale) * ident)
+        assert product.denominator == 1
+        largest = max((abs(x) for row in product.int_rows for x in row.values()), default=0)
+        assert largest.bit_length() < width
+
+
+@pytest.mark.parametrize("kind,arg", CHAINS, ids=[f"{k}-{a}" for k, a in CHAINS])
+def test_column_blocks_give_the_same_result(kind, arg, monkeypatch):
+    op, catalog = chain(kind, arg)
+    size = op.matrix.rows
+    values = merged_values(catalog)
+    widths = recorded_widths(monkeypatch)
+    whole = spectra._spectral_pass(op.matrix, values)
+    short = spectra._spectral_pass(op.matrix, values[:-1])
+    # one column per block, then about three blocks
+    for budget in (1, widths[0] * size * max(1, size // 3)):
+        monkeypatch.setattr(spectra, "_BLOCK_BITS", budget)
+        assert spectra._spectral_pass(op.matrix, values) == whole
+        assert spectra._spectral_pass(op.matrix, values[:-1]) == short
