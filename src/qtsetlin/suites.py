@@ -3,14 +3,21 @@ Named verification suites behind `qtsetlin verify`, built from
 `hecke_chains.Chain`, the one handle on a chain (re-exported here, with
 `FLAG_STATE_CAP` and `SUITES`).
 
-Each suite returns (check name, passed) pairs; every check is an exact
-identity, so there are no tolerances anywhere.  Sizes are bounded by the
-requested n_max and prime list, with hard caps keeping the flag spaces at
-desk scale.
+Each suite returns its jobs in output order: zero-argument callables, one
+per chain where the suite loops over chains, each returning its (check
+name, passed) pairs.  Every check is an exact identity, so there are no
+tolerances anywhere.  Sizes are bounded by the requested n_max and prime
+list, with hard caps keeping the flag spaces at desk scale.  `run_suite`
+spreads the jobs over the cores this process may use (see `run_jobs`); the
+results, and so every printed byte, are those of one process.
 """
 
+import gc
+import marshal
+import os
 import random
 from fractions import Fraction
+from functools import partial
 
 from .combinatorics import coinv, derangement, perm_states, q_int, word_states
 from .exact import Matrix, mat_mul, shift, vec_mat
@@ -49,6 +56,10 @@ from .stationary import (
 
 # The stationary suite runs the path method up to this many flags.
 FLAG_PATH_CAP = 60
+
+# SIGKILL is 9 on every POSIX system; `import signal` would build its enums
+# on every verify run for this one number.
+_SIGKILL = 9
 
 
 def perm_chains(n_max, seed_of, q=None):
@@ -132,6 +143,11 @@ def _rand_rates(rng, n, q=None, normalized=True):
 
 
 def suite_matrix(n_max, p_list, seed):
+    """One job: its checks share one random stream."""
+    return [partial(_matrix_checks, p_list, seed)]
+
+
+def _matrix_checks(p_list, seed):
     rng = random.Random(seed)
     checks = []
     for q in (Fraction(2), Fraction(3), Fraction(5, 2)):
@@ -157,24 +173,24 @@ def suite_matrix(n_max, p_list, seed):
 
 
 def suite_stationary(n_max, p_list, seed):
-    checks = []
     chains = (
         perm_chains(n_max, lambda n: seed + n)
         + word_chains(n_max, seed)
         + flag_chains(n_max, p_list, lambda n: seed + n)
     )
-    for chain in chains:
-        op = chain.operator()
-        psi = chain.formula()
-        total = chain.rates.total()
-        ok = psi.is_left_eigenvector(op, total) and psi.total() == 1
-        ok = ok and stationary_oracle(op, total).values == psi.values
-        if chain.space == "flag" and chain.fits(FLAG_PATH_CAP):
-            ok = ok and all(rcayley_stationary(chain.rates, chain.p, f) == psi[f] for f in op.states)
-            checks.append((f"{chain.name}: formula, oracle and path method agree", ok))
-        else:
-            checks.append((f"{chain.name}: formula is stationary and oracle agrees", ok))
-    return checks
+    return [partial(_stationary_checks, chain) for chain in chains]
+
+
+def _stationary_checks(chain):
+    op = chain.operator()
+    psi = chain.formula()
+    total = chain.rates.total()
+    ok = psi.is_left_eigenvector(op, total) and psi.total() == 1
+    ok = ok and stationary_oracle(op, total).values == psi.values
+    if chain.space == "flag" and chain.fits(FLAG_PATH_CAP):
+        ok = ok and all(rcayley_stationary(chain.rates, chain.p, f) == psi[f] for f in op.states)
+        return [(f"{chain.name}: formula, oracle and path method agree", ok)]
+    return [(f"{chain.name}: formula is stationary and oracle agrees", ok)]
 
 
 # The derangement count each space's predicted multiplicities come from.
@@ -182,57 +198,65 @@ DERANGEMENTS = {"perm": "derangement", "word": "poset-derangement", "flag": "q-d
 
 
 def suite_spectra(n_max, p_list, seed):
-    checks = []
     chains = (
         perm_chains(n_max, lambda n: seed + 17 * n)
         + word_chains(n_max, seed, keep_ones=True)
         + flag_chains(n_max, p_list, lambda n: seed + n)
     )
-    for chain in chains:
-        report = verify_multiplicities(chain.operator(), chain.catalog())
-        ok = report.all_pass and (chain.space != "flag" or report.annihilates)
-        checks.append((f"{chain.name}: nullities match {DERANGEMENTS[chain.space]} multiplicities", ok))
-        if chain.space == "perm":
-            checks.append((f"{chain.name}: annihilation product vanishes", report.annihilates))
+    return [partial(_spectra_checks, chain) for chain in chains]
+
+
+def _spectra_checks(chain):
+    report = verify_multiplicities(chain.operator(), chain.catalog())
+    ok = report.all_pass and (chain.space != "flag" or report.annihilates)
+    checks = [(f"{chain.name}: nullities match {DERANGEMENTS[chain.space]} multiplicities", ok)]
+    if chain.space == "perm":
+        checks.append((f"{chain.name}: annihilation product vanishes", report.annihilates))
     return checks
 
 
 def suite_lumping(n_max, p_list, seed):
-    checks = []
-    for chain in flag_chains(n_max, p_list, lambda n: seed + n):
-        rates, n, p = chain.rates, chain.rates.n, chain.p
-        for diagram in ("flags-perms-proj", "flags-perms-incl"):
-            checks.append(
-                (f"{diagram} commutes (n={n}, p={p})", check_commuting(diagram, rates, p=p))
-            )
-        psi_f = chain.formula()
-        psi_p = Chain("perm", rates).formula()
-        lumped = vec_mat(psi_f.values, proj_flags_to_perms(n, p).matrix)
-        checks.append(
-            (f"flag stationary lumps to perm stationary (n={n}, p={p})", tuple(lumped) == psi_p.values)
+    flag_jobs = [partial(_flag_lumping_checks, chain) for chain in flag_chains(n_max, p_list, lambda n: seed + n)]
+    return flag_jobs + [partial(_word_lumping_checks, chain) for chain in word_chains(n_max, seed)]
+
+
+def _flag_lumping_checks(chain):
+    rates, n, p = chain.rates, chain.rates.n, chain.p
+    checks = [
+        (f"{diagram} commutes (n={n}, p={p})", check_commuting(diagram, rates, p=p))
+        for diagram in ("flags-perms-proj", "flags-perms-incl")
+    ]
+    psi_f = chain.formula()
+    psi_p = Chain("perm", rates).formula()
+    lumped = vec_mat(psi_f.values, proj_flags_to_perms(n, p).matrix)
+    checks.append(
+        (f"flag stationary lumps to perm stationary (n={n}, p={p})", tuple(lumped) == psi_p.values)
+    )
+    checks.append(
+        (
+            f"perm mass is p^coinv times flag mass (n={n}, p={p})",
+            all(
+                psi_p[coset_to_perm(f)] == Fraction(p) ** coinv(coset_to_perm(f)) * psi_f[f]
+                for f in psi_f.states
+            ),
         )
-        checks.append(
-            (
-                f"perm mass is p^coinv times flag mass (n={n}, p={p})",
-                all(
-                    psi_p[coset_to_perm(f)] == Fraction(p) ** coinv(coset_to_perm(f)) * psi_f[f]
-                    for f in psi_f.states
-                ),
-            )
-        )
-    for chain in word_chains(n_max, seed):
-        m = chain.rates.m
-        rates = map_rates_word_to_perm(chain.rates)
-        for diagram in ("perms-words-proj", "perms-words-incl"):
-            checks.append(
-                (f"{diagram} commutes (m={m})", check_commuting(diagram, rates, m=m))
-            )
-        psi_p = Chain("perm", rates).formula()
-        psi_w = chain.formula()
-        lumped = vec_mat(psi_p.values, proj_perms_to_words(m).matrix)
-        checks.append(
-            (f"perm stationary lumps to word stationary (m={m})", tuple(lumped) == psi_w.values)
-        )
+    )
+    return checks
+
+
+def _word_lumping_checks(chain):
+    m = chain.rates.m
+    rates = map_rates_word_to_perm(chain.rates)
+    checks = [
+        (f"{diagram} commutes (m={m})", check_commuting(diagram, rates, m=m))
+        for diagram in ("perms-words-proj", "perms-words-incl")
+    ]
+    psi_p = Chain("perm", rates).formula()
+    psi_w = chain.formula()
+    lumped = vec_mat(psi_p.values, proj_perms_to_words(m).matrix)
+    checks.append(
+        (f"perm stationary lumps to word stationary (m={m})", tuple(lumped) == psi_w.values)
+    )
     return checks
 
 
@@ -252,41 +276,52 @@ def _hecke_relations(gens, q):
 
 def suite_hecke(n_max, p_list, seed):
     rng = random.Random(seed)
-    checks = []
     q = Fraction(rng.randint(2, 9), rng.randint(1, 3))
-    for n in range(2, n_max + 1):
-        gens = [hecke_generator_perm(i, n, q).matrix for i in range(1, n)]
-        checks.append((f"Hecke relations on permutations (n={n}, q={q})", _hecke_relations(gens, q)))
+    jobs = [
+        partial(_hecke_checks, f"permutations (n={n}, q={q})", hecke_generator_perm, n, n, q)
+        for n in range(2, n_max + 1)
+    ]
     for n in range(2, n_max + 1):
         for m in compositions(n):
             if len(m) == 1 or len(m) == n:
                 continue
-            gens = [hecke_generator_word(i, m, q).matrix for i in range(1, n)]
-            checks.append((f"Hecke relations on words (m={m}, q={q})", _hecke_relations(gens, q)))
+            jobs.append(partial(_hecke_checks, f"words (m={m}, q={q})", hecke_generator_word, n, m, q))
     for chain in flag_chains(n_max, p_list, lambda n: seed + n):
         n, p = chain.rates.n, chain.p
-        gens = [hecke_generator_coset(i, n, p).matrix for i in range(1, n)]
-        checks.append((f"Hecke relations on flags (n={n}, p={p})", _hecke_relations(gens, Fraction(p))))
-    return checks
+        jobs.append(partial(_hecke_checks, f"flags (n={n}, p={p})", hecke_generator_coset, n, n, p))
+    return jobs
+
+
+def _hecke_checks(label, generator, n, space, q):
+    """The Hecke relations on the generators generator(i, space, q), i < n."""
+    gens = [generator(i, space, q).matrix for i in range(1, n)]
+    return [(f"Hecke relations on {label}", _hecke_relations(gens, Fraction(q)))]
 
 
 def suite_q1(n_max, p_list, seed):
-    checks = []
-    for chain in perm_chains(min(n_max, 5), lambda n: seed + n, q=Fraction(1)):
-        rates, n = chain.rates, chain.rates.n
-        psi = chain.formula()
-        classical = classical_tsetlin_stationary(rates.x)
-        checks.append((f"q=1 stationary equals classical product formula (n={n})", psi.values == classical.values))
-        cat = chain.catalog()
-        ok = all(
-            e.value == sum((rates.x[i - 1] for i in e.label), Fraction(0)) for e in cat
-        )
-        ok = ok and all(e.multiplicity == derangement(n - len(e.label)) for e in cat)
-        checks.append((f"q=1 catalog reduces to subset sums with derangement multiplicities (n={n})", ok))
+    return [partial(_q1_checks, chain) for chain in perm_chains(min(n_max, 5), lambda n: seed + n, q=Fraction(1))]
+
+
+def _q1_checks(chain):
+    rates, n = chain.rates, chain.rates.n
+    psi = chain.formula()
+    classical = classical_tsetlin_stationary(rates.x)
+    checks = [(f"q=1 stationary equals classical product formula (n={n})", psi.values == classical.values)]
+    cat = chain.catalog()
+    ok = all(
+        e.value == sum((rates.x[i - 1] for i in e.label), Fraction(0)) for e in cat
+    )
+    ok = ok and all(e.multiplicity == derangement(n - len(e.label)) for e in cat)
+    checks.append((f"q=1 catalog reduces to subset sums with derangement multiplicities (n={n})", ok))
     return checks
 
 
 def suite_properties(n_max, p_list, seed):
+    """One job: its checks share one random stream."""
+    return [partial(_properties_checks, n_max, p_list, seed)]
+
+
+def _properties_checks(n_max, p_list, seed):
     rng = random.Random(seed)
     checks = []
 
@@ -361,11 +396,113 @@ def run_suite(name, n_max=3, p_list=(2, 3), seed=0):
         "q1-reduction": suite_q1,
         "properties": suite_properties,
     }
-    if name == "all":
-        checks = []
-        for key in runners:
-            checks.extend(runners[key](n_max, p_list, seed))
-        return checks
-    if name not in runners:
+    if name != "all" and name not in runners:
         raise ValueError(f"unknown suite {name!r}")
-    return runners[name](n_max, p_list, seed)
+    jobs, single = [], []
+    for key in runners if name == "all" else (name,):
+        suite_jobs = runners[key](n_max, p_list, seed)
+        if len(suite_jobs) == 1:
+            single.append(len(jobs))
+        jobs.extend(suite_jobs)
+    # A suite of one job checks many configurations in it, so it goes first:
+    # then no core is left waiting on it at the end.
+    order = single + [i for i in range(len(jobs)) if i not in single]
+    return [check for checks in run_jobs(jobs, order) for check in checks]
+
+
+def run_jobs(jobs, order):
+    """Each job's result, in job order, as one process would give them.
+
+    The jobs are zero-argument callables whose results marshal (lists of
+    (str, bool) pairs here) and that share no state.  This process and up to
+    one forked helper per further core it may use pull the jobs' indices from
+    one pipe, in `order`, so a slow job holds up no other.  Then the jobs
+    whose results did not come back (the job raised in a helper, or the
+    helper died) run here, in job order, so a failure raises exactly what
+    one process raises.
+    """
+    done = {}
+    if len(jobs) > 1 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        helpers = min(len(os.sched_getaffinity(0)), os.cpu_count() or 1, len(jobs)) - 1
+        if helpers > 0:
+            done = _pull_jobs(jobs, order, helpers)
+    return [done[i] if i in done else jobs[i]() for i in range(len(jobs))]
+
+
+def _pull_jobs(jobs, order, helpers):
+    """The results of the jobs that this process and `helpers` forked
+    helpers finished, by index: each claims the next index from the pipe
+    until it is empty or one of its jobs raises."""
+    claims, fill = os.pipe()
+    data = b"".join(i.to_bytes(4, "little") for i in order)
+    try:
+        os.set_blocking(fill, False)
+        # A pipe too small for every index gets no helper: nothing would read it yet.
+        full = os.write(fill, data) == len(data)
+    except BlockingIOError:
+        full = False
+    finally:
+        os.close(fill)
+    started = {}  # helper pid -> the read end of its results pipe
+    gc.freeze()
+    try:
+        for _ in range(helpers if full else 0):
+            results, out = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(results)
+                os.close(out)
+                break
+            if pid == 0:
+                _helper(jobs, claims, out, [results, *started.values()])
+            os.close(out)
+            started[pid] = results
+        done = _claim(jobs, claims)
+        for pid in list(started):
+            chunks = []
+            while chunk := os.read(started[pid], 1 << 16):
+                chunks.append(chunk)
+            status = os.waitpid(pid, 0)[1]
+            os.close(started.pop(pid))
+            # A helper that did not exit 0 sent nothing whole.
+            if status == 0:
+                done.update(marshal.loads(b"".join(chunks)))
+        return done
+    finally:
+        for pid, results in started.items():
+            os.kill(pid, _SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(results)
+        os.close(claims)
+        gc.unfreeze()
+
+
+def _claim(jobs, claims):
+    """Run the jobs whose indices this process reads from the claims pipe,
+    until the pipe is empty or a job raises; their results by index."""
+    done = {}
+    while index := os.read(claims, 4):
+        i = int.from_bytes(index, "little")
+        try:
+            done[i] = jobs[i]()
+        except Exception:
+            # Left for the rerun in job order, which raises it again there.
+            break
+    return done
+
+
+def _helper(jobs, claims, out, inherited):
+    """A forked helper's whole life: claim jobs, send their results, and
+    leave through os._exit, so it never returns into the caller and never
+    flushes the stdout it inherited."""
+    code = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        data = memoryview(marshal.dumps(_claim(jobs, claims)))
+        while data:
+            data = data[os.write(out, data) :]
+        code = 0
+    finally:
+        os._exit(code)

@@ -13,6 +13,7 @@ To re-record after an intended change of the suites' rates:
 """
 
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -48,6 +49,9 @@ def record_rates(monkeypatch, suite):
     builder off its home module, where it is patched; calls from elsewhere
     (a perm builder calling its word version, `check_commuting`) are not
     recorded."""
+    # The helpers of `run_suite` would build in processes whose calls this
+    # recorder cannot see: one core keeps every build in this process.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     seen = set()
     for name, home in BUILDERS.items():
         original = getattr(home, name)

@@ -1,5 +1,8 @@
 """Each subcommand loads only the layers it runs, and none loads `dataclasses`.
 
+`verify` spreads its jobs over forked helpers with `os.fork`, pipes and
+`marshal`, so it loads no process pool, thread or pickling module either.
+
 Every command runs in a fresh interpreter that reports the `qtsetlin`
 modules in `sys.modules` when `main` returns.  A layer that a command
 loads without running it costs every run of that command its compile and
@@ -37,7 +40,9 @@ FOOTPRINT = {
     "lump-check --m 1,2 --q 2 --rates 1/2,1/2": BASE | {"lumping"},
     "lump-check --n 2 --p 2 --rates 1/2,1/2": BASE | {"flags", "lumping"},
     "verify --suite matrix": BASE | {"flags", "lumping", "spectra", "stationary", "suites"},
+    "verify --suite all --n-max 3 --p 2": BASE | {"flags", "lumping", "spectra", "stationary", "suites"},
 }
+POOLS = {"multiprocessing", "concurrent.futures", "threading", "pickle", "subprocess"}
 
 
 def modules_after(code, *argv):
@@ -58,3 +63,9 @@ def test_command_loads_only_the_layers_it_runs(argv, stdlib):
     modules = modules_after(RUN, *argv.split())
     assert {m.split(".", 1)[1] for m in modules if m.startswith("qtsetlin.")} == FOOTPRINT[argv]
     assert "dataclasses" not in modules - stdlib
+
+
+@pytest.mark.parametrize("argv", [a for a in FOOTPRINT if a.startswith("verify")])
+def test_verify_loads_no_pool_thread_or_pickle(argv, stdlib):
+    modules = modules_after(RUN, *argv.split())
+    assert POOLS & (modules - stdlib) == set()

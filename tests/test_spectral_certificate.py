@@ -14,6 +14,7 @@ guard below makes `rank_nullity` raise to show that a passing certificate
 never reaches it.
 """
 
+import os
 from fractions import Fraction as F
 from math import gcd, lcm
 
@@ -267,6 +268,8 @@ def test_one_spectral_pass_per_certified_chain(monkeypatch, capsys):
         return original(m, values)
 
     monkeypatch.setattr(spectra, "_spectral_pass", counting)
+    # One core: a pass run in a forked helper of `run_suite` is not counted here.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     checks = run_suite("spectra", n_max=3, p_list=(2,))
     chains = [name for name, _ in checks if "nullities match" in name]
     assert all(ok for _, ok in checks)
