@@ -109,15 +109,26 @@ class WordRates(record("WordRates", "q xbar m")):
     def upper_set_values(self) -> MappingProxyType:
         """Read-only {a: lambda_a} for every upper set a of
         `enumerate_upper_sets(m)`, in its order: lambda_a = sum_j ybar_j
-        q^(a_{j+1} + ... + a_l) [a_j]_q over the letters with a_j > 0."""
-        q = self.q
+        q^(a_{j+1} + ... + a_l) [a_j]_q over the letters with a_j > 0.
+
+        Since q^s [a_j]_q = q^s + ... + q^(s + a_j - 1), lambda_a is
+        sum_{t < |a|} ybar_{j(t)} q^t, with j(t) running through the letters
+        of a from the last, a_l times l, then a_(l-1) times l-1, and so on.
+        With ybar_j = Y_j / D and q = qn/qd that is an integer over
+        D qd^(n-1): one Fraction per upper set."""
+        d, ints = integer_numerators(self._ybar)
+        qn, qd = self.q.numerator, self.q.denominator
+        top = max(self.n - 1, 0)
+        powers = [qn**t * qd ** (top - t) for t in range(self.n)]
+        den = d * qd**top
         out = {}
         for a in enumerate_upper_sets(self.m):
-            value = Fraction(0)
-            for j, aj in enumerate(a):
-                if aj:
-                    value += self._ybar[j] * q ** sum(a[j + 1 :]) * q_int(aj, q)
-            out[a] = value
+            num, t = 0, 0
+            for j in range(len(a) - 1, -1, -1):
+                for _ in range(a[j]):
+                    num += ints[j] * powers[t]
+                    t += 1
+            out[a] = Fraction(num, den)
         return MappingProxyType(out)
 
     @cached_property

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from qtsetlin.combinatorics import perm_states, q_int
+from qtsetlin.combinatorics import enumerate_upper_sets, perm_states, q_int
 from qtsetlin.exact import Matrix, mat_mul
 from qtsetlin.hecke_chains import (
     LinearOperator,
@@ -16,6 +16,7 @@ from qtsetlin.hecke_chains import (
     weight_op_perm,
     weight_op_word,
 )
+from qtsetlin.suites import compositions
 
 Q = F(7, 3)
 
@@ -310,3 +311,36 @@ class TestRates:
     def test_operator_requires_square(self):
         with pytest.raises(ValueError):
             LinearOperator(((1, 2),), Matrix.zeros(2, 3))
+
+
+def reference_upper_set_values(rates):
+    """lambda_a = sum_j ybar_j q^(a_{j+1} + ... + a_l) [a_j]_q in Fractions,
+    term by term, as the rates computed it before it ran on integers."""
+    q = rates.q
+    out = {}
+    for a in enumerate_upper_sets(rates.m):
+        value = F(0)
+        for j, aj in enumerate(a):
+            if aj:
+                value += rates.ybar(j + 1) * q ** sum(a[j + 1 :]) * q_int(aj, q)
+        out[a] = value
+    return out
+
+
+UPPER_SET_QS = [F(2), F(3), F(5, 2), F(1), F(1, 2), F(-3, 7), F(-1), F(-2)]
+
+
+@pytest.mark.parametrize("q", UPPER_SET_QS, ids=str)
+@pytest.mark.parametrize("m", [()] + [m for n in range(1, 6) for m in compositions(n)] + [(3, 2, 2), (1, 4)], ids=str)
+def test_upper_set_values_match_the_fraction_formula(m, q):
+    rng = random.Random(f"{m}:{q}")
+    xbar = [F(rng.randint(1, 40), rng.randint(41, 97)) for _ in m]
+    try:
+        rates = WordRates(q, xbar, m)
+    except ValueError:
+        return  # [m_j]_q = 0 for a part: no chain at this q
+    values = rates.upper_set_values
+    reference = reference_upper_set_values(rates)
+    assert list(values) == list(reference) == enumerate_upper_sets(m)
+    assert dict(values) == reference
+    assert all(type(v) is F for v in values.values())

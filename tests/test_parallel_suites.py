@@ -87,6 +87,8 @@ def test_never_more_helpers_than_cores(monkeypatch):
     real_fork = os.fork
 
     def counted_fork():
+        # Refusing the fork past the real core count keeps a broken cap from
+        # starting more processes than the machine has cores.
         forks.append(1)
         if len(forks) >= real_cpus:
             raise OSError("fork refused by the test")
