@@ -8,6 +8,10 @@ JSON and CSV output can round-trip without loss.  Exit codes: 0 success,
 
 Each subcommand imports the layers it runs when it runs, so a command loads
 no layer it does not use (the README lists them per command).
+
+Every command computes its values first and then writes its output in pieces
+as it formats them (`_emit`), so no command holds its whole text, and a
+failing command prints nothing and creates no --out file.
 """
 
 import argparse
@@ -132,39 +136,98 @@ def _check_prime(p, what):
         raise ConfigError(f"{what} is not prime")
 
 
-def _emit(args, text):
-    if getattr(args, "out", None):
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text if text.endswith("\n") else text + "\n")
-        except OSError as e:
-            raise ConfigError(f"cannot write --out {args.out}: {e.strerror or e}") from e
-    else:
-        print(text)
+# Output goes out in writes of about this many characters: one write per
+# piece would be one system call per piece on an unbuffered stdout.
+_CHUNK = 1 << 16
+
+
+def _emit(args, pieces):
+    """Write the str pieces, then a newline, to --out or to stdout, joined
+    into writes of about _CHUNK characters.  Every value is computed before
+    this is called, so --out is opened only once nothing is left to fail."""
+    if not getattr(args, "out", None):
+        return _write(sys.stdout.write, pieces)
+    try:
+        with open(args.out, "w") as fh:
+            _write(fh.write, pieces)
+    except OSError as e:
+        raise ConfigError(f"cannot write --out {args.out}: {e.strerror or e}") from e
+
+
+def _write(write, pieces):
+    batch, size = [], 0
+    for piece in pieces:
+        batch.append(piece)
+        size += len(piece)
+        if size >= _CHUNK:
+            write("".join(batch))
+            batch, size = [], 0
+    batch.append("\n")
+    write("".join(batch))
+
+
+def _fail_before_output(ints, pieces):
+    """str() refuses an int of more decimal digits than
+    sys.get_int_max_str_digits() (Python 3.11+) with a ValueError.  Every int
+    that `pieces()` prints divides one of `ints`; when one of those may be
+    that long, make the pieces once without writing them, so that error
+    comes before any output, as every other one does."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and max(map(int.bit_length, ints), default=0) * 0.30103 + 1 > limit:
+        for _ in pieces():
+            pass
 
 
 def cmd_matrix(args) -> int:
+    from functools import partial
+    from itertools import chain
+
     op = _load_config(args).operator()
     states = [state_key(s) for s in op.states]
-    d = op.matrix.denominator
-    cells = [["0"] * op.matrix.cols for _ in states]
-    for row, ints in zip(cells, op.matrix.int_rows):
-        for c, x in ints.items():
-            row[c] = format_rational(Fraction(x, d))
-    if args.format == "json":
-        # json.dumps(indent=2) with "entries": cells; rational strings need no escaping.
-        head = json.dumps({"states": states}, indent=2)[: -len("\n}")]
-        rows = ",\n".join('    [\n      "' + '",\n      "'.join(row) + '"\n    ]' for row in cells)
-        _emit(args, f'{head},\n  "entries": [\n{rows}\n  ]\n}}')
-    else:
-        lines = ["state," + ",".join(states)]
-        for s, row in zip(states, cells):
-            lines.append(s + "," + ",".join(row))
-        _emit(args, "\n".join(lines))
+    m = op.matrix
+    pieces = partial(_matrix_json if args.format == "json" else _matrix_csv, states, m)
+    entries = chain.from_iterable(map(dict.values, m.int_rows))
+    _fail_before_output(chain([m.denominator], entries), pieces)
+    _emit(args, pieces())
     return 0
 
 
+def _matrix_cells(m):
+    """The printed cells of each row of m, one list at a time: "0" off the
+    nonzeros, and a reduced "a/b" or "a" (one gcd each) on them."""
+    from math import gcd
+
+    d = m.denominator
+    zeros = ["0"] * m.cols
+    for ints in m.int_rows:
+        cells = zeros.copy()
+        for c, x in ints.items():
+            g = gcd(x, d)
+            cells[c] = str(x // g) if g == d else f"{x // g}/{d // g}"
+        yield cells
+
+
+def _matrix_json(states, m):
+    """json.dumps({"states": states, "entries": cells}, indent=2) in pieces,
+    one per row; rational strings need no escaping."""
+    quote = json.encoder.encode_basestring_ascii
+    yield '{\n  "states": [\n    ' + ",\n    ".join(map(quote, states)) + '\n  ],\n  "entries": ['
+    sep = "\n"
+    for cells in _matrix_cells(m):
+        yield sep + '    [\n      "' + '",\n      "'.join(cells) + '"\n    ]'
+        sep = ",\n"
+    yield "\n  ]\n}"
+
+
+def _matrix_csv(states, m):
+    yield "state," + ",".join(states)
+    for s, cells in zip(states, _matrix_cells(m)):
+        yield "\n" + s + "," + ",".join(cells)
+
+
 def cmd_stationary(args) -> int:
+    from functools import partial
+
     chain = _load_config(args)
     rates = chain.rates
     if args.method == "semigroup" and args.space != "flag":
@@ -192,31 +255,54 @@ def cmd_stationary(args) -> int:
             flags = _flag_states(rates.n, chain.p)
             values = tuple(rcayley_stationary(rates, chain.p, f) for f in flags)
             methods["semigroup"] = StationaryVector(flags, values)
+    # One method always agrees with itself; hashing its values would cost a
+    # Fraction hash per state.
+    agreement = args.method != "all" or len({m.values for m in methods.values()}) == 1
     if args.method != "all":
-        _emit_vector(args, next(iter(methods.values())))
-        return 0
-    agreement = len({m.values for m in methods.values()}) == 1
-    payload = {name: vec.as_dict() for name, vec in methods.items()}
-    payload["agree"] = agreement
-    if args.format == "json":
-        _emit(args, json.dumps(payload, indent=2))
+        pieces = partial(_json_vector if args.format == "json" else _csv_vector, methods[args.method])
+    elif args.format == "json":
+        pieces = partial(_json_methods, methods, agreement)
     else:
-        lines = ["method,state,value"]
-        for name, vec in methods.items():
-            for k, v in vec.as_dict().items():
-                lines.append(f"{name},{k},{v}")
-        lines.append(f"agree,,{str(agreement).lower()}")
-        _emit(args, "\n".join(lines))
+        pieces = partial(_csv_methods, methods, agreement)
+    values = (v for vec in methods.values() for v in vec.values)
+    _fail_before_output((x for v in values for x in (v.numerator, v.denominator)), pieces)
+    _emit(args, pieces())
     return 0 if agreement else 1
 
 
-def _emit_vector(args, vec):
-    mapping = vec.as_dict()
-    if args.format == "json":
-        _emit(args, json.dumps(mapping, indent=2))
-    else:
-        lines = ["state,value"] + [f"{k},{v}" for k, v in mapping.items()]
-        _emit(args, "\n".join(lines))
+def _json_vector(vec, pad=""):
+    """json.dumps(vec.as_dict(), indent=2) in pieces, one per state, as the
+    value of a key indented by `pad`."""
+    quote = json.encoder.encode_basestring_ascii
+    sep = "{\n" + pad + "  "
+    for k, v in vec.printed_items():
+        yield sep + quote(k) + ": " + quote(v)
+        sep = ",\n" + pad + "  "
+    yield "{}" if sep.startswith("{") else "\n" + pad + "}"
+
+
+def _json_methods(methods, agreement):
+    """json.dumps({name: vec.as_dict(), ..., "agree": agreement}, indent=2)."""
+    sep = "{\n  "
+    for name, vec in methods.items():
+        yield sep + json.encoder.encode_basestring_ascii(name) + ": "
+        yield from _json_vector(vec, "  ")
+        sep = ",\n  "
+    yield f'{sep}"agree": {str(agreement).lower()}\n}}'
+
+
+def _csv_vector(vec):
+    yield "state,value"
+    for k, v in vec.printed_items():
+        yield f"\n{k},{v}"
+
+
+def _csv_methods(methods, agreement):
+    yield "method,state,value"
+    for name, vec in methods.items():
+        for k, v in vec.printed_items():
+            yield f"\n{name},{k},{v}"
+    yield f"\nagree,,{str(agreement).lower()}"
 
 
 def cmd_spectrum(args) -> int:
@@ -240,7 +326,7 @@ def cmd_spectrum(args) -> int:
         payload["verification"]["annihilation"] = report.annihilates
         failed = not (report.all_pass and report.annihilates)
     if args.format == "json":
-        _emit(args, json.dumps(payload, indent=2))
+        _emit(args, [json.dumps(payload, indent=2)])
     else:
         lines = ["label,value,multiplicity"]
         for r in rows:
@@ -248,7 +334,7 @@ def cmd_spectrum(args) -> int:
             lines.append(f"{label},{r['value']},{r['multiplicity']}")
         if args.verify:
             lines.append(f"all_pass,{str(not failed).lower()},")
-        _emit(args, "\n".join(lines))
+        _emit(args, ["\n".join(lines)])
     return 1 if failed else 0
 
 
@@ -280,7 +366,7 @@ def cmd_lump_check(args) -> int:
             results[diagram] = check_commuting(diagram, rates, m=m)
     if not results:
         raise ConfigError("nothing to check: give --p (flag diagrams) and/or --m (word diagrams)")
-    _emit(args, json.dumps(results, indent=2))
+    _emit(args, [json.dumps(results, indent=2)])
     return 0 if all(results.values()) else 1
 
 
@@ -312,10 +398,9 @@ def cmd_verify(args) -> int:
             why += f": every flag space over --p {args.p} has more than FLAG_STATE_CAP = {FLAG_STATE_CAP} states"
         raise ConfigError(why)
     width = max(len(name) for name, _ in checks)
-    for name, ok in checks:
-        print(f"{'PASS' if ok else 'FAIL'}  {name:<{width}}")
     passed = sum(1 for _, ok in checks if ok)
-    print(f"{passed}/{len(checks)} checks passed")
+    lines = [f"{'PASS' if ok else 'FAIL'}  {name:<{width}}" for name, ok in checks]
+    _emit(args, ["\n".join(lines), f"\n{passed}/{len(checks)} checks passed"])
     return 0 if passed == len(checks) else 1
 
 
@@ -384,6 +469,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory: the request needs more memory than this process may use", file=sys.stderr)
         return 2
 
 

@@ -41,7 +41,7 @@ below it, the same word and k the per-word product reports; numerators that
 vanish do not stop it.
 
 `StationaryVector.total` adds the values as int pairs, with one Fraction at
-the end, and `as_dict` picks its state printer once per vector.
+the end, and `printed_items` picks its state printer once per vector.
 """
 
 from fractions import Fraction
@@ -115,11 +115,16 @@ class StationaryVector(record("StationaryVector", "states values")):
         b, da = lam.denominator, m.denominator * lam.numerator
         return all(b * x == da * v for x, v in zip(lhs, ints))
 
+    def printed_items(self):
+        """(state_key(state), format_rational(value)) pairs in state order,
+        made one at a time, with the state printer picked once for the
+        vector (see `_state_names`) and each value printed by `str`, which
+        for a Fraction is the same string."""
+        return zip(_state_names(self.states), map(str, self.values))
+
     def as_dict(self):
-        """{state_key(state): format_rational(value)}, with the state printer
-        picked once for the vector (see `_state_names`) and each value
-        printed by `str`, which for a Fraction is the same string."""
-        return dict(zip(_state_names(self.states), map(str, self.values)))
+        """{state_key(state): format_rational(value)}: the `printed_items`."""
+        return dict(self.printed_items())
 
 
 def _add_pair(a, b, c, d):
@@ -132,18 +137,19 @@ _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 
 def _state_names(states):
-    """`state_key` of every state: `to_str` for flags, a digit string for
-    every state when each letter of each is 0..9, and otherwise `state_key`
-    state by state (commas for the states with a letter above 9)."""
+    """`state_key` of every state, made one at a time: `to_str` for flags, a
+    digit string for every state when each letter of each is 0..9, and
+    otherwise `state_key` state by state (commas for the states with a letter
+    above 9)."""
     if states and hasattr(states[0], "to_str"):
-        return [s.to_str() for s in states]
+        return (s.to_str() for s in states)
     try:
         digits = max(bytes(chain.from_iterable(states)), default=0) <= 9
     except (TypeError, ValueError):
         digits = False
     if digits:
-        return [bytes(s).translate(_DIGITS).decode() for s in states]
-    return [state_key(s) for s in states]
+        return (bytes(s).translate(_DIGITS).decode() for s in states)
+    return map(state_key, states)
 
 
 def kappa_word(b, rates: WordRates) -> Fraction:
