@@ -209,17 +209,49 @@ def state_matrix(sources, targets, entries, denominator=1) -> Matrix:
     return Matrix._from_int_rows(rows, len(targets), denominator)
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Exact product over the nonzeros of both factors: the products of the
-    integer rows are summed as ints over D_a D_b."""
+def _product_rows(a: Matrix, b: Matrix):
+    """The sparse integer rows of D_a D_b (a b), one at a time, made only
+    when the iterator reaches them: the products of the nonzeros of each row
+    of a with the rows of b, summed as ints.  The shapes are checked at the
+    call."""
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
     right = b.int_rows
-    rows = [
-        _accumulate((k, x * y) for j, x in row.items() for k, y in right[j].items())
-        for row in a.int_rows
-    ]
-    return Matrix._from_int_rows(rows, b.cols, a.denominator * b.denominator)
+
+    def rows():
+        for row in a.int_rows:
+            out = {}
+            for j, x in row.items():
+                for k, y in right[j].items():
+                    out[k] = out[k] + x * y if k in out else x * y
+            yield {k: x for k, x in out.items() if x}
+
+    return rows()
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """Exact product over the nonzeros of both factors: the products of the
+    integer rows are summed as ints over D_a D_b."""
+    return Matrix._from_int_rows(list(_product_rows(a, b)), b.cols, a.denominator * b.denominator)
+
+
+def products_equal(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> bool:
+    """mat_mul(a, b) == mat_mul(c, d), compared row by row: it stops at the
+    first row that differs and stores neither product.  A row of D_a D_b ab
+    and the same row of D_c D_d cd are equal as rationals when they are
+    equal dicts once each is scaled by the other's denominator over their
+    gcd."""
+    left, right = _product_rows(a, b), _product_rows(c, d)
+    if (a.rows, b.cols) != (c.rows, d.cols):
+        return False
+    da, dc = a.denominator * b.denominator, c.denominator * d.denominator
+    g = gcd(da, dc)
+    sl, sr = dc // g, da // g
+    return all(_scaled(x, sl) == _scaled(y, sr) for x, y in zip(left, right))
+
+
+def _scaled(row, s):
+    return row if s == 1 else {k: x * s for k, x in row.items()}
 
 
 def vec_mat(v, m: Matrix):

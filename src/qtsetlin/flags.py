@@ -12,12 +12,13 @@ they never change the chain of column spans.
 
 All F_p vector arithmetic runs on `_VectorCodes`, one per (n, p), on
 vectors coded as ints, through three walks: `reduce` to canonical columns
-(for the line-insertion table, `insert_line` and the coset action),
-`extend`, which grows a reduced echelon basis one vector at a time (for the
-subspaces of partial flags, whose pivot rows are cleared in every other
-basis vector, so subspace equality is tuple equality), and `entry_step`, the
-step at which a vector enters a flag (for the path method).  Codes are
-decoded only where a `FlagRep` or a basis is returned.
+(for `insert_line` and the coset action), `extend`, which grows a reduced
+echelon basis one vector at a time (for the subspaces of partial flags,
+whose pivot rows are cleared in every other basis vector, so subspace
+equality is tuple equality), and `entry_step`, the step at which a vector
+enters a flag (for the path method); the line-insertion table uses its
+memos directly.  Codes are decoded only where a `FlagRep` or a basis is
+returned.
 
 `insert_line` re-canonicalizes the whole flag with the line in front; the
 line-insertion table does not.  A canonical column c_k is the unique
@@ -25,8 +26,19 @@ normalized vector of c_k + V_{k-1} that vanishes on the lead rows of
 V_{k-1}.  Inserting v with entry step j (the least j with v in V_j) leaves
 V_{k-1} unchanged for every k > j, so the new flag's columns are the
 canonical columns of (v, c_1, ..., c_{j-1}) followed by c_{j+1}, ..., c_n as
-they are; c_j is the first column that reducing (v, c_1, ..., c_n) drops, so
-the table stops there.  `insert_line` stays as its reference.
+they are.  `insert_line` stays as its reference.
+
+The table is built in one depth-first walk over the prefix tree of the
+flags sorted by their column codes, where the flags below a node, those
+with the canonical prefix c_1..c_k, form one contiguous range.  Prefix
+lemma: the flags of that range share V_1..V_k, so a line's entry step, and
+the canonical columns of (v, c_1, ..., c_k), are fixed at the node; the
+walk carries both down the tree one column per level.  Subtree pairing: a
+line entering at step j below the node (c_1..c_j) goes to the node
+canonical(v, c_1..c_{j-1}); both nodes span V_j, and the suffixes
+c_{j+1}, ..., c_n that complete a canonical flag depend only on V_j, so the
+two ranges list the same suffixes in the same order and pair up by
+position.
 """
 
 import bisect
@@ -163,9 +175,8 @@ class _VectorCodes:
         s = pow(v[lead], self.p - 2, self.p)
         return lead, self.encode([a * s for a in v])
 
-    def reduce(self, cols, stop=False):
-        """Column-reduce codes to canonical form; dependent columns drop out,
-        or with `stop` the walk ends at the first of them.
+    def reduce(self, cols):
+        """Column-reduce codes to canonical form; dependent columns drop out.
 
         Returns the columns in input order and the (pivot row, column) pairs
         sorted by pivot row.  Sweeping the placed pivot rows from top to
@@ -183,8 +194,6 @@ class _VectorCodes:
                 lead, col = pivot[col]
                 out.append(col)
                 bisect.insort(placed, (lead, col))
-            elif stop:
-                break
         return out, placed
 
     def extend(self, placed, vectors):
@@ -249,12 +258,9 @@ def _decoded_flag(codes, cols) -> FlagRep:
 
 
 def coset_to_perm(flag: FlagRep) -> tuple:
-    """Permutation pi with pi_j = pivot row of column j (1-based)."""
-    perm = []
-    for col in flag.cols:
-        lead = next(r for r, a in enumerate(col) if a)
-        perm.append(lead + 1)
-    return tuple(perm)
+    """Permutation pi with pi_j = pivot row of column j (1-based): the
+    first nonzero entry of a canonical column is its leading 1."""
+    return tuple(col.index(1) + 1 for col in flag.cols)
 
 
 def enumerate_flags(n: int, p: int):
@@ -298,19 +304,6 @@ def insert_line(flag: FlagRep, line: Line) -> FlagRep:
     return _decoded_flag(codes, out)
 
 
-def _insert_coded(codes, cols, v):
-    """Column codes of the flag that inserting the line of code v in front
-    of the canonical flag with column codes `cols` gives.
-
-    Reducing (v, c_1, ..., c_n) drops c_j first, at the entry step j of v:
-    the columns before it are the canonical columns of (v, c_1, ...,
-    c_{j-1}), and c_{j+1}, ..., c_n stay as they are (see the module
-    docstring), so the walk stops there.
-    """
-    out, _ = codes.reduce((v, *cols), stop=True)
-    return (*out, *cols[len(out) :])
-
-
 @lru_cache(maxsize=8)
 def _line_codes(n, p):
     """(lead, code) of every line, in `enumerate_lines` order."""
@@ -322,14 +315,90 @@ def _line_codes(n, p):
 def _insertion_table(n, p):
     """(flags, leads, targets): targets[f][l] is the index of the flag that
     inserting line l of `_line_codes`, of lead index leads[l], in front of
-    flag f gives, at any rates.  Flags are looked up by their column codes."""
+    flag f gives, at any rates."""
     states = _flag_states(n, p)
     leads, line_codes = zip(*_line_codes(n, p))
+    return states, leads, _insertion_targets(states, line_codes, n, p)
+
+
+def _insertion_targets(states, line_codes, n, p):
+    """The targets of `_insertion_table`, in one walk over the prefix tree.
+
+    The walk (see the module docstring) visits the nodes of the prefix tree
+    as ranges of the flags sorted by their column codes; a node of depth k
+    spans [n-k]_p! flags.  The children of a node are the normalized
+    vectors that vanish on the lead rows of its V_k, in ascending code
+    order, so where a node starts follows from its columns' ranks among
+    them.  Each line not yet in V_k is carried as (line, unit, target): its
+    reduction at the pivot rows of c_1..c_k, scaled to a leading 1, and the
+    start of the node canonical(v, c_1..c_k).  Every line not in V_{n-1}
+    enters at the leaf.  Targets are filled one line at a time, a slice per
+    range, or one entry where the range holds one flag.
+    """
     codes = _vector_codes(n, p)
-    flag_codes = [tuple(map(codes.encode, f.cols)) for f in states]
-    index = {cols: k for k, cols in enumerate(flag_codes)}
-    targets = [tuple(index[_insert_coded(codes, cols, v)] for v in line_codes) for cols in flag_codes]
-    return states, leads, targets
+    weights, minus, pivot = codes.weights, codes.minus, codes.pivot
+    order = sorted(range(len(states)), key=lambda f: tuple(map(codes.encode, states[f].cols)))
+    spans = [1]  # spans[m] = [m]_p!, the flags below a node of depth n - m
+    for m in range(1, n + 1):
+        spans.append(spans[-1] * (p**m - 1) // (p - 1))
+
+    def ranks(mask):
+        """{code: rank} of the normalized vectors vanishing on the rows in
+        the bit mask, ascending: a lower leading 1 gives a smaller code, and
+        so do smaller entries below it, the upper rows first."""
+        free = [r for r in range(n) if not mask >> r & 1]
+        out = {}
+        for i in reversed(range(len(free))):
+            below = free[i + 1 :]
+            for digits in itertools.product(range(p), repeat=len(below)):
+                out[weights[free[i]] + sum(a * weights[r] for a, r in zip(digits, below))] = len(out)
+        return out
+
+    def descend(key):
+        """None when the line of `unit` enters at the child c of a node
+        whose V_k has the lead rows in `mask`; else its unit below c and the
+        rank of the column that c adds to canonical(v, c_1..c_k).  The
+        reduction loses its entry at c's pivot row; the column is c cleared
+        at the unit's lead row, since c already vanishes on the lead rows of
+        V_k."""
+        mask, unit, c = key
+        x = unit // weights[pivot[c][0]] % p
+        rest = minus[unit, x, c] if x else unit
+        if not rest:
+            return None
+        lead = pivot[unit][0]
+        y = c // weights[lead] % p
+        col = pivot[minus[c, y, unit]][1] if y else c
+        return pivot[rest][1], children[mask | 1 << lead][col]
+
+    children, steps = _Memo(ranks), _Memo(descend)
+    columns = [[None] * len(states) for _ in line_codes]
+
+    def walk(start, mask, k, pending):
+        if k == n - 1:  # V_n holds every line
+            for line, _, target in pending:
+                columns[line][start] = order[target]
+            return
+        step, deeper = spans[n - k - 1], spans[n - k - 2]
+        for t, c in enumerate(children[mask]):
+            first = start + t * step
+            below = []
+            for line, unit, target in pending:
+                if down := steps[mask, unit, c]:
+                    below.append((line, down[0], target + down[1] * deeper))
+                elif step == 1:
+                    columns[line][first] = order[target]
+                else:
+                    columns[line][first : first + step] = order[target : target + step]
+            if below:
+                walk(first, mask | 1 << pivot[c][0], k + 1, below)
+
+    top = children[0]
+    walk(0, 0, 0, [(line, v, top[v] * spans[n - 1]) for line, v in enumerate(line_codes)])
+    targets = [None] * len(states)
+    for f, row in zip(order, zip(*columns)):
+        targets[f] = row
+    return targets
 
 
 def _act_coset(flag: FlagRep, i: int):

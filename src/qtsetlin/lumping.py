@@ -9,6 +9,10 @@ matrices on the right and an inclusion on the left:
     T_flags . P  = P . T_perm          J . T_flags = T_perm . J
     T_perm  . Pw = Pw . T_word         Jw . T_perm = T_word . Jw
 
+`check_commuting` compares the two sides of an identity row by row, each
+row multiplied out when it is compared, and stops at the first row that
+differs; neither product is stored.
+
 The flag maps import `flags` when they run, so the word diagrams do not load it.
 """
 
@@ -25,7 +29,7 @@ from .combinatorics import (
     standardize,
     word_states,
 )
-from .exact import mat_mul, record, state_matrix
+from .exact import products_equal, record, state_matrix
 from .hecke_chains import (
     PermRates,
     WordRates,
@@ -187,7 +191,8 @@ DIAGRAMS = (
 
 def check_commuting(diagram: str, rates: PermRates, p: int = None, m=None) -> bool:
     """Exact matrix identity for one of the four commuting diagrams, in the
-    form its intertwiner's kind takes (see the module docstring).
+    form its intertwiner's kind takes (see the module docstring), checked
+    row by row without storing either product.
 
     The word diagrams take the permutation rates (which must be
     m-compatible) and derive the word rates from them.
@@ -209,5 +214,5 @@ def check_commuting(diagram: str, rates: PermRates, p: int = None, m=None) -> bo
         raise ValueError(f"unknown diagram {diagram!r}; expected one of {DIAGRAMS}")
     x = intertwiner.matrix
     if intertwiner.kind == "projection":
-        return mat_mul(fine, x) == mat_mul(x, coarse)
-    return mat_mul(x, fine) == mat_mul(coarse, x)
+        return products_equal(fine, x, x, coarse)
+    return products_equal(x, fine, coarse, x)

@@ -27,6 +27,7 @@ from qtsetlin.flags import (
     _act_coset,
     _flag_codes,
     _vector_codes,
+    coset_to_perm,
     enumerate_flags,
     enumerate_lines,
     lrb_product,
@@ -151,6 +152,17 @@ def test_act_coset_matches_tuple_shear_on_every_flag(n, p):
 
 # ---------------------------------------------------------------------------
 # Subspaces and the path method
+
+
+def reference_coset_to_perm(flag):
+    """The former scan: the row of each column's first nonzero entry."""
+    return tuple(next(r for r, a in enumerate(col) if a) + 1 for col in flag.cols)
+
+
+@pytest.mark.parametrize("n, p", [(n, p) for n in (1, 2, 3, 4) for p in (2, 3)])
+def test_coset_to_perm_reads_the_leading_one_of_every_column(n, p):
+    for flag in enumerate_flags(n, p):
+        assert coset_to_perm(flag) == reference_coset_to_perm(flag)
 
 
 def _lead(v):

@@ -131,20 +131,21 @@ def test_flag_chains_match_fraction_assembly(n, p):
 
 def test_flag_insertion_table_is_built_once_per_space(monkeypatch):
     """The target of each (flag, line) insertion does not depend on the
-    rates, so a second set of rates reuses the table: no insertion runs,
-    and the matrix still matches the reference."""
+    rates, so a second set of rates reuses the table: the first build walks
+    the prefix tree once, the second not at all, and the matrix still
+    matches the reference."""
     calls = []
-    original = flags._insert_coded
+    original = flags._insertion_targets
 
     def counting(*args):
         calls.append(1)
         return original(*args)
 
-    monkeypatch.setattr(flags, "_insert_coded", counting)
+    monkeypatch.setattr(flags, "_insertion_targets", counting)
     flags._insertion_table.cache_clear()
     n, p = 3, 3
     transition_matrix_flags(flag_rates(n, p), p)
-    assert len(calls) == len(enumerate_flags(n, p)) * len(enumerate_lines(n, p))
+    assert len(calls) == 1
     other = PermRates(p, [F(5, 11), F(1, 4), F(2, 9)])
     states = tuple(enumerate_flags(n, p))
     del calls[:]

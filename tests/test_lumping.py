@@ -9,8 +9,8 @@ from qtsetlin.combinatorics import (
     inv,
     q_factorial,
 )
-from qtsetlin.exact import Matrix
-from qtsetlin.flags import coset_to_perm
+from qtsetlin.exact import Matrix, mat_mul
+from qtsetlin.flags import coset_to_perm, transition_matrix_flags
 from qtsetlin.hecke_chains import PermRates
 from qtsetlin.lumping import (
     check_commuting,
@@ -25,6 +25,7 @@ from qtsetlin.lumping import (
     young_subgroup,
 )
 from qtsetlin.spectra import generic_perm_rates, generic_word_rates
+from qtsetlin.suites import compositions
 
 
 class TestFlagPermMaps:
@@ -269,3 +270,72 @@ class TestCommutingDiagrams:
         assert proj.source_states == psi_f.states
         lumped = vec_mat(list(psi_f.values), proj.matrix)
         assert tuple(lumped) == psi_p.values
+
+
+def stored_products_agree(diagram, rates, p=None, m=None):
+    """The former form of `check_commuting`: both products stored, then
+    compared with ==."""
+    proj = diagram.endswith("-proj")
+    if diagram.startswith("flags"):
+        fine = transition_matrix_flags(rates, p).matrix
+        coarse = lumping.transition_matrix_perm(rates).matrix
+        x = proj_flags_to_perms(rates.n, p) if proj else incl_perms_to_flags(rates.n, p)
+    else:
+        fine = lumping.transition_matrix_perm(rates).matrix
+        coarse = lumping.transition_matrix_word(map_rates_perm_to_word(rates, m)).matrix
+        x = proj_perms_to_words(m) if proj else incl_words_to_perms(m, rates.q)
+    x = x.matrix
+    if proj:
+        return mat_mul(fine, x) == mat_mul(x, coarse)
+    return mat_mul(x, fine) == mat_mul(coarse, x)
+
+
+FLAG_CASES = [(n, p) for n in (1, 2, 3, 4) for p in (2, 3)]
+WORD_CASES = [m for n in range(1, 6) for m in compositions(n)]
+
+
+class TestRowByRowAgainstStoredProducts:
+    """`check_commuting` compares the two sides row by row; its verdict must
+    be that of the stored products on every diagram, true or planted
+    false."""
+
+    @pytest.mark.parametrize("n, p", FLAG_CASES)
+    def test_flag_diagrams(self, n, p):
+        rates = generic_perm_rates(n, seed=n + p, q=p)
+        for diagram in ("flags-perms-proj", "flags-perms-incl"):
+            assert check_commuting(diagram, rates, p=p) is stored_products_agree(diagram, rates, p=p) is True
+
+    @pytest.mark.parametrize("m", WORD_CASES, ids=str)
+    def test_word_diagrams(self, m):
+        rates = map_rates_word_to_perm(generic_word_rates(m, seed=len(m), q=F(5, 2)))
+        for diagram in ("perms-words-proj", "perms-words-incl"):
+            assert check_commuting(diagram, rates, m=m) is stored_products_agree(diagram, rates, m=m) is True
+
+    @pytest.mark.parametrize("row", [0, -1])
+    @pytest.mark.parametrize(
+        "diagram, where, coarse",
+        [
+            ("flags-perms-proj", {"p": 3}, "transition_matrix_perm"),
+            ("flags-perms-incl", {"p": 3}, "transition_matrix_perm"),
+            ("perms-words-proj", {"m": (2, 1, 1)}, "transition_matrix_word"),
+            ("perms-words-incl", {"m": (2, 1, 1)}, "transition_matrix_word"),
+        ],
+    )
+    def test_planted_wrong_coarse_matrix(self, diagram, where, coarse, row, monkeypatch):
+        """One entry of one row of the coarse chain moved by 1/7 (the row
+        sum kept by moving another entry back) breaks both forms."""
+        if "p" in where:
+            rates = generic_perm_rates(3, seed=2, q=where["p"])
+        else:
+            rates = map_rates_word_to_perm(generic_word_rates(where["m"], seed=2, q=F(2)))
+        build = getattr(lumping, coarse)
+
+        def planted(*args):
+            op = build(*args)
+            rows = op.matrix.data
+            rows[row][0] += F(1, 7)
+            rows[row][1] -= F(1, 7)
+            return op._replace(matrix=Matrix(rows))
+
+        monkeypatch.setattr(lumping, coarse, planted)
+        assert check_commuting(diagram, rates, **where) is stored_products_agree(diagram, rates, **where) is False
