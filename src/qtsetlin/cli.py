@@ -24,7 +24,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .combinatorics import state_key
+from .combinatorics import state_names
 from .exact import format_rational, parse_rational
 from .hecke_chains import (
     FLAG_STATE_CAP,
@@ -198,7 +198,7 @@ def cmd_matrix(args) -> int:
     from itertools import chain
 
     op = _load_config(args).operator()
-    states = [state_key(s) for s in op.states]
+    states = list(state_names(op.states))
     m = op.matrix
     pieces = partial(_matrix_json if args.format == "json" else _matrix_csv, states, m)
     entries = chain.from_iterable(map(dict.values, m.int_rows))
@@ -244,32 +244,13 @@ def cmd_stationary(args) -> int:
     from functools import partial
 
     chain = _load_config(args)
-    rates = chain.rates
-    if args.method == "semigroup" and args.space != "flag":
-        raise ConfigError("--method semigroup applies to the flag space only")
-    methods = {}
-    if args.method == "all":
-        wanted = ["formula", "oracle"]
-        if chain.space == "flag" and rates.total() == 1:
-            wanted.append("semigroup")
-    else:
-        wanted = [args.method]
-    for method in wanted:
-        if method == "formula":
-            methods["formula"] = chain.formula().normalized()
-        elif method == "oracle":
-            from .stationary import stationary_oracle
-
-            methods["oracle"] = stationary_oracle(chain.operator(), rates.total())
-        elif method == "semigroup":
-            if rates.total() != 1:
-                raise ConfigError("--method semigroup requires rates summing to 1")
-            from .flags import _flag_states, rcayley_stationary
-            from .stationary import StationaryVector
-
-            flags = _flag_states(rates.n, chain.p)
-            values = tuple(rcayley_stationary(rates, chain.p, f) for f in flags)
-            methods["semigroup"] = StationaryVector(flags, values)
+    path = chain.space == "flag" and chain.rates.total() == 1
+    if args.method == "semigroup" and not path:
+        if chain.space != "flag":
+            raise ConfigError("--method semigroup applies to the flag space only")
+        raise ConfigError("--method semigroup requires rates summing to 1")
+    wanted = (["formula", "oracle"] + ["semigroup"] * path) if args.method == "all" else [args.method]
+    methods = {method: chain.stationary(method) for method in wanted}
     # One method always agrees with itself; hashing its values would cost a
     # Fraction hash per state.
     agreement = args.method != "all" or len({m.values for m in methods.values()}) == 1
@@ -338,8 +319,7 @@ def cmd_spectrum(args) -> int:
 
         report = verify_multiplicities(chain.operator(), catalog)
         payload["verification"] = report.as_json()
-        payload["verification"]["annihilation"] = report.annihilates
-        failed = not (report.all_pass and report.annihilates)
+        failed = not report.all_pass
     if args.format == "json":
         _emit(args, [json.dumps(payload, indent=2)])
     else:
@@ -364,21 +344,15 @@ def cmd_lump_check(args) -> int:
             "one --rates list cannot serve both: the flag diagrams take --n rates "
             "and the word diagrams take one rate per part of --m; give --p or --m"
         )
-    from .lumping import check_commuting, map_rates_word_to_perm
-
     results = {}
     if args.p is not None:
         if args.n is None:
             raise ConfigError("flag diagrams require --n")
-        rates = _perm_rates(args, Fraction(args.p))
-        for diagram in ("flags-perms-proj", "flags-perms-incl"):
-            results[diagram] = check_commuting(diagram, rates, p=args.p)
+        results.update(Chain("flag", _perm_rates(args, Fraction(args.p)), args.p).diagrams())
     if m is not None:
         if args.q is None:
             raise ConfigError("word diagrams require --q")
-        rates = map_rates_word_to_perm(_word_rates(args, m, _parse_q(args.q)))
-        for diagram in ("perms-words-proj", "perms-words-incl"):
-            results[diagram] = check_commuting(diagram, rates, m=m)
+        results.update(Chain("word", _word_rates(args, m, _parse_q(args.q))).diagrams())
     if not results:
         raise ConfigError("nothing to check: give --p (flag diagrams) and/or --m (word diagrams)")
     _emit(args, [json.dumps(results, indent=2)])

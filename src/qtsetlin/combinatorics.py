@@ -33,6 +33,7 @@ __all__ = [
     "linear_extensions",
     "poset_derangements",
     "seq_to_str",
+    "state_names",
 ]
 
 
@@ -241,3 +242,22 @@ def seq_to_str(seq) -> str:
 def state_key(state) -> str:
     """Printed name of a chain state: a flag's `to_str()`, else `seq_to_str`."""
     return state.to_str() if hasattr(state, "to_str") else seq_to_str(state)
+
+
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
+def state_names(states):
+    """`state_key` of every state, made one at a time: `to_str` for flags, a
+    digit string for every state when each letter of each is 0..9, and
+    otherwise `state_key` state by state (commas for the states with a letter
+    above 9)."""
+    if states and hasattr(states[0], "to_str"):
+        return (s.to_str() for s in states)
+    try:
+        digits = max(bytes(itertools.chain.from_iterable(states)), default=0) <= 9
+    except (TypeError, ValueError):
+        digits = False
+    if digits:
+        return (bytes(s).translate(_DIGITS).decode() for s in states)
+    return map(state_key, states)

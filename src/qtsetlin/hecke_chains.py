@@ -329,9 +329,10 @@ FLAG_STATE_CAP = 400
 class Chain(record("Chain", "space rates p", defaults=(None,))):
     """One chain: its space ("perm", "word" or "flag"), its rates and, for
     flags, the prime p (the rates carry q = p); the one handle on a chain
-    that the CLI and the suites build from.  Each method imports the builder
-    of its space and reads it off the builder's module at call time, so a
-    command loads only the layers it runs."""
+    that the CLI and the suites build from, and the one definition of the
+    checks both run.  Each method imports the builder of its space and
+    reads it off the builder's module at call time, so a command loads only
+    the layers it runs."""
 
     @property
     def name(self):
@@ -380,3 +381,32 @@ class Chain(record("Chain", "space rates p", defaults=(None,))):
         from .spectra import eigen_catalog_flags, eigen_catalog_perm, eigen_catalog_word
 
         return self._build(eigen_catalog_perm, eigen_catalog_word, eigen_catalog_flags)
+
+    def stationary(self, method, op=None):
+        """The stationary vector by one method: "formula", the closed form
+        normalized; "oracle", the left null space of the transition matrix
+        (op when given, else built); "semigroup", the flag path method."""
+        if method == "formula":
+            return self.formula().normalized()
+        if method == "oracle":
+            from .stationary import stationary_oracle
+
+            return stationary_oracle(self.operator() if op is None else op, self.rates.total())
+        if method != "semigroup" or self.space != "flag":
+            raise ValueError(f"no stationary method {method!r} on the {self.space} space")
+        from .flags import _flag_states, rcayley_stationary
+        from .stationary import StationaryVector
+
+        flags = _flag_states(self.rates.n, self.p)
+        return StationaryVector(flags, tuple(rcayley_stationary(self.rates, self.p, f) for f in flags))
+
+    def diagrams(self):
+        """{diagram: commutes} for the two commuting diagrams from the
+        chain's space to the next coarser one: flags onto perms for a flag
+        chain, perms onto the words of its content for the others."""
+        from .lumping import DIAGRAMS, check_commuting, map_rates_word_to_perm
+
+        if self.space == "flag":
+            return {d: check_commuting(d, self.rates, p=self.p) for d in DIAGRAMS[:2]}
+        rates = map_rates_word_to_perm(self.rates)
+        return {d: check_commuting(d, rates, m=self.rates.m) for d in DIAGRAMS[2:]}

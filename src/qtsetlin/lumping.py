@@ -57,12 +57,11 @@ class IntertwinerMatrix(record("IntertwinerMatrix", "matrix source_states target
     """A state-indexed map between two spaces; kind is "projection" or "inclusion"."""
 
 
-# One-entry memo: the two flag diagrams of one (rates, p) build it once.
-@lru_cache(maxsize=1)
-def _flag_matrix(rates, p):
-    from .flags import transition_matrix_flags
-
-    return transition_matrix_flags(rates, p).matrix
+# Two-entry memo keyed by builder and arguments: the two diagrams of one
+# chain build each of their fine and coarse matrices once.
+@lru_cache(maxsize=2)
+def _matrix(build, *args):
+    return build(*args).matrix
 
 
 def _projection(fine, coarse, to_class) -> IntertwinerMatrix:
@@ -201,14 +200,16 @@ def check_commuting(diagram: str, rates: PermRates, p: int = None, m=None) -> bo
     if diagram in ("flags-perms-proj", "flags-perms-incl"):
         if p is None:
             raise ValueError("flag diagrams need the field size")
-        fine = _flag_matrix(rates, p)
-        coarse = transition_matrix_perm(rates).matrix
+        from .flags import transition_matrix_flags
+
+        fine = _matrix(transition_matrix_flags, rates, p)
+        coarse = _matrix(transition_matrix_perm, rates)
         intertwiner = proj_flags_to_perms(rates.n, p) if proj else incl_perms_to_flags(rates.n, p)
     elif diagram in ("perms-words-proj", "perms-words-incl"):
         if m is None:
             raise ValueError("word diagrams need the composition")
-        coarse = transition_matrix_word(map_rates_perm_to_word(rates, m)).matrix
-        fine = transition_matrix_perm(rates).matrix
+        coarse = _matrix(transition_matrix_word, map_rates_perm_to_word(rates, m))
+        fine = _matrix(transition_matrix_perm, rates)
         intertwiner = proj_perms_to_words(m) if proj else incl_words_to_perms(m, rates.q)
     else:
         raise ValueError(f"unknown diagram {diagram!r}; expected one of {DIAGRAMS}")

@@ -118,7 +118,9 @@ def merge_catalog(entries):
 
 
 class MultiplicityReport(record("MultiplicityReport", "entries dimension total_predicted annihilates")):
-    """entries: (labels, value, predicted, computed, ok) per merged value."""
+    """entries: (labels, value, predicted, computed, ok) per merged value.
+    `all_pass`, the one spectral verdict, also asks `annihilates`, which the
+    dimension and nullity checks imply (then M is diagonalizable)."""
 
     @property
     def dimension_ok(self):
@@ -126,7 +128,7 @@ class MultiplicityReport(record("MultiplicityReport", "entries dimension total_p
 
     @property
     def all_pass(self):
-        return self.dimension_ok and all(ok for *_, ok in self.entries)
+        return self.dimension_ok and self.annihilates and all(ok for *_, ok in self.entries)
 
     def as_json(self):
         return {
@@ -143,6 +145,7 @@ class MultiplicityReport(record("MultiplicityReport", "entries dimension total_p
             "dimension": self.dimension,
             "total_predicted": self.total_predicted,
             "all_pass": self.all_pass,
+            "annihilation": self.annihilates,
         }
 
 

@@ -46,10 +46,9 @@ the end, and `printed_items` picks its state printer once per vector.
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain
 from math import gcd, lcm
 
-from .combinatorics import inv, perm_states, q_factorial, state_key
+from .combinatorics import inv, perm_states, q_factorial, state_key, state_names
 from .exact import _combine_rows, integer_numerators, left_null_space, record, shift
 from .hecke_chains import LinearOperator, PermRates, WordRates
 
@@ -118,9 +117,9 @@ class StationaryVector(record("StationaryVector", "states values")):
     def printed_items(self):
         """(state_key(state), format_rational(value)) pairs in state order,
         made one at a time, with the state printer picked once for the
-        vector (see `_state_names`) and each value printed by `str`, which
+        vector (see `state_names`) and each value printed by `str`, which
         for a Fraction is the same string."""
-        return zip(_state_names(self.states), map(str, self.values))
+        return zip(state_names(self.states), map(str, self.values))
 
     def as_dict(self):
         """{state_key(state): format_rational(value)}: the `printed_items`."""
@@ -131,25 +130,6 @@ def _add_pair(a, b, c, d):
     """a/b + c/d as an int pair over lcm(b, d), not reduced further."""
     g = gcd(b, d)
     return a * (d // g) + c * (b // g), b // g * d
-
-
-_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
-
-
-def _state_names(states):
-    """`state_key` of every state, made one at a time: `to_str` for flags, a
-    digit string for every state when each letter of each is 0..9, and
-    otherwise `state_key` state by state (commas for the states with a letter
-    above 9)."""
-    if states and hasattr(states[0], "to_str"):
-        return (s.to_str() for s in states)
-    try:
-        digits = max(bytes(chain.from_iterable(states)), default=0) <= 9
-    except (TypeError, ValueError):
-        digits = False
-    if digits:
-        return (bytes(s).translate(_DIGITS).decode() for s in states)
-    return map(state_key, states)
 
 
 def kappa_word(b, rates: WordRates) -> Fraction:

@@ -25,7 +25,6 @@ from .flags import (
     PartialFlag,
     coset_to_perm,
     hecke_generator_coset,
-    rcayley_stationary,
     lrb_product,
     transition_matrix_flags_hecke,
 )
@@ -40,19 +39,9 @@ from .hecke_chains import (
     hecke_generator_perm,
     hecke_generator_word,
 )
-from .lumping import (
-    check_commuting,
-    map_rates_word_to_perm,
-    proj_flags_to_perms,
-    proj_perms_to_words,
-)
+from .lumping import map_rates_word_to_perm, proj_flags_to_perms, proj_perms_to_words
 from .spectra import verify_multiplicities
-from .stationary import (
-    classical_tsetlin_stationary,
-    flag_coset_factors,
-    stationary_oracle,
-    word_factors,
-)
+from .stationary import classical_tsetlin_stationary, flag_coset_factors, word_factors
 
 # The stationary suite runs the path method up to this many flags.
 FLAG_PATH_CAP = 60
@@ -186,9 +175,9 @@ def _stationary_checks(chain):
     psi = chain.formula()
     total = chain.rates.total()
     ok = psi.is_left_eigenvector(op, total) and psi.total() == 1
-    ok = ok and stationary_oracle(op, total).values == psi.values
+    ok = ok and chain.stationary("oracle", op).values == psi.values
     if chain.space == "flag" and chain.fits(FLAG_PATH_CAP):
-        ok = ok and all(rcayley_stationary(chain.rates, chain.p, f) == psi[f] for f in op.states)
+        ok = ok and chain.stationary("semigroup").values == psi.values
         return [(f"{chain.name}: formula, oracle and path method agree", ok)]
     return [(f"{chain.name}: formula is stationary and oracle agrees", ok)]
 
@@ -208,8 +197,7 @@ def suite_spectra(n_max, p_list, seed):
 
 def _spectra_checks(chain):
     report = verify_multiplicities(chain.operator(), chain.catalog())
-    ok = report.all_pass and (chain.space != "flag" or report.annihilates)
-    checks = [(f"{chain.name}: nullities match {DERANGEMENTS[chain.space]} multiplicities", ok)]
+    checks = [(f"{chain.name}: nullities match {DERANGEMENTS[chain.space]} multiplicities", report.all_pass)]
     if chain.space == "perm":
         checks.append((f"{chain.name}: annihilation product vanishes", report.annihilates))
     return checks
@@ -222,10 +210,7 @@ def suite_lumping(n_max, p_list, seed):
 
 def _flag_lumping_checks(chain):
     rates, n, p = chain.rates, chain.rates.n, chain.p
-    checks = [
-        (f"{diagram} commutes (n={n}, p={p})", check_commuting(diagram, rates, p=p))
-        for diagram in ("flags-perms-proj", "flags-perms-incl")
-    ]
+    checks = [(f"{diagram} commutes (n={n}, p={p})", ok) for diagram, ok in chain.diagrams().items()]
     psi_f = chain.formula()
     psi_p = Chain("perm", rates).formula()
     lumped = vec_mat(psi_f.values, proj_flags_to_perms(n, p).matrix)
@@ -246,12 +231,8 @@ def _flag_lumping_checks(chain):
 
 def _word_lumping_checks(chain):
     m = chain.rates.m
-    rates = map_rates_word_to_perm(chain.rates)
-    checks = [
-        (f"{diagram} commutes (m={m})", check_commuting(diagram, rates, m=m))
-        for diagram in ("perms-words-proj", "perms-words-incl")
-    ]
-    psi_p = Chain("perm", rates).formula()
+    checks = [(f"{diagram} commutes (m={m})", ok) for diagram, ok in chain.diagrams().items()]
+    psi_p = Chain("perm", map_rates_word_to_perm(chain.rates)).formula()
     psi_w = chain.formula()
     lumped = vec_mat(psi_p.values, proj_perms_to_words(m).matrix)
     checks.append(

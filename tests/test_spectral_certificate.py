@@ -282,8 +282,9 @@ def test_one_spectral_pass_per_certified_chain(monkeypatch, capsys):
 
 
 def test_suite_and_cli_read_the_annihilation_verdict(monkeypatch, capsys):
-    """A report whose product did not vanish fails the perm annihilation
-    line, the flag nullity line and `spectrum --verify`."""
+    """A report whose product did not vanish fails the one spectral
+    verdict: every chain's nullity line, the perm annihilation line and
+    `spectrum --verify`."""
     real = spectra.verify_multiplicities
 
     def not_annihilating(op, catalog):
@@ -293,7 +294,9 @@ def test_suite_and_cli_read_the_annihilation_verdict(monkeypatch, capsys):
     monkeypatch.setattr(suites, "verify_multiplicities", not_annihilating)
     failed = [name for name, ok in run_suite("spectra", n_max=2, p_list=(2,)) if not ok]
     assert failed == [
+        "perm n=2: nullities match derangement multiplicities",
         "perm n=2: annihilation product vanishes",
+        "word m=(1, 1): nullities match poset-derangement multiplicities",
         "flag n=2 p=2: nullities match q-derangement multiplicities",
     ]
     assert main(["spectrum", "--space", "flag", "--n", "2", "--p", "2", "--verify", "--format", "csv"]) == 1
