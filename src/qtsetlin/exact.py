@@ -6,12 +6,14 @@ reduced with a positive denominator.  `Matrix`, the exchange and equality
 type, is stored as one positive denominator D and the sparse integer rows of
 D M, one {col: int} dict of nonzeros per row; indexing, `row` and `data` give
 Fractions.  Every operation touches only the nonzeros, as ints, with one lcm
-or gcd per result.  Every state-indexed matrix of the package is assembled by
-`state_matrix` from one sparse row of (target, coeff) pairs per source state.
+or gcd per result.  `state_matrix` assembles a state-indexed matrix from one
+sparse row of (target, coeff) pairs per source state; the shuffle operator
+(`hecke_chains._shuffle_operator`) hands its int rows to `Matrix` directly.
 
 Elimination is fraction-free: the integer rows, each divided by its gcd, are
 reduced by cross-multiplication followed by a gcd division, so intermediate
-entries stay no larger than the corresponding minors.
+entries stay no larger than the corresponding minors.  Back-substitution
+for the null space stays on ints too, over one running denominator.
 
 `record` makes the package's other value types.
 """
@@ -319,16 +321,18 @@ def _echelon(rows, cols):
         if best is None:
             continue
         rows[r], rows[best] = rows[best], rows[r]
-        piv = rows[r][c]
+        # Rows r, r+1, ... vanish left of column c, so only columns c on change.
+        top = rows[r][c:]
+        piv = top[0]
         for i in range(r + 1, nrows):
             v = rows[i][c]
             if not v:
                 continue
-            new = [piv * a - v * b for a, b in zip(rows[i], rows[r])]
+            new = [piv * a - v * b for a, b in zip(rows[i][c:], top)]
             g = gcd(*new)
             if g > 1:
                 new = [x // g for x in new]
-            rows[i] = new
+            rows[i][c:] = new
         pivots.append(c)
         r += 1
     return pivots
@@ -343,7 +347,10 @@ def rank_nullity(m: Matrix):
 
 
 def null_space(m: Matrix):
-    """Basis of the right null space { x : m x = 0 }, as lists of Fractions."""
+    """Basis of the right null space { x : m x = 0 }, as lists of Fractions,
+    one per free column in order.  Back-substitution keeps x as ints over
+    one running denominator d, scaled only when a pivot does not divide the
+    sum it solves for; each entry becomes a Fraction once, at the end."""
     cols = m.cols
     rows = _integer_rows(m)
     pivots = _echelon(rows, cols)
@@ -351,17 +358,27 @@ def null_space(m: Matrix):
     free = [c for c in range(cols) if c not in pivot_set]
     basis = []
     for f in free:
-        x = [Fraction(0)] * cols
-        x[f] = Fraction(1)
+        x = [0] * cols
+        x[f] = d = 1
         for r in range(len(pivots) - 1, -1, -1):
             pc = pivots[r]
             row = rows[r]
-            s = Fraction(0)
+            s = 0
             for k in range(pc + 1, cols):
                 if row[k] and x[k]:
                     s += row[k] * x[k]
-            x[pc] = -s / row[pc]
-        basis.append(x)
+            piv = row[pc]
+            if piv < 0:
+                piv, s = -piv, -s
+            if s % piv:
+                g = gcd(s, piv)
+                scale = piv // g
+                x = [v * scale for v in x]
+                d *= scale
+                x[pc] = -(s // g)
+            else:
+                x[pc] = -(s // piv)
+        basis.append([Fraction(v, d) for v in x])
     return basis
 
 

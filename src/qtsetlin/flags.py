@@ -146,13 +146,15 @@ class _Memo(dict):
 
 class _VectorCodes:
     """F_p^n with each vector coded as the int sum_r v[r] p^(n-1-r) in
-    [0, p^n).  Entry r of code x is x // weights[r] % p.  `minus[x, c, y]`
-    is the code of x - c*y and `pivot[x]` is (lead row, code of x scaled so
-    its lead entry is 1), both filled on first use."""
+    [0, p^n).  Entry r of code x is x // weights[r] % p.  `decode(x)` is
+    the tuple of entries of x, `minus[x, c, y]` the code of x - c*y and
+    `pivot[x]` (lead row, code of x scaled so its lead entry is 1), all
+    three read from memos filled on first use."""
 
     def __init__(self, n, p):
         self.p = p
         self.weights = tuple(p ** (n - 1 - r) for r in range(n))
+        self.decode = _Memo(self._digits).__getitem__
         self.minus = _Memo(self._minus)
         self.pivot = _Memo(self._pivot)
 
@@ -162,7 +164,7 @@ class _VectorCodes:
             x = x * self.p + a % self.p
         return x
 
-    def decode(self, x) -> tuple:
+    def _digits(self, x) -> tuple:
         return tuple(x // w % self.p for w in self.weights)
 
     def _minus(self, key):

@@ -20,11 +20,11 @@ q = 1 this is the classical move-to-front chain.
 
 The structure constants of T_i lie in Z[q].  With q = qn/qd, every chain
 supplies only its states, its integer generator action act(s, i) (the
-(target, coeff) pairs of s . (qd T_i)) and its weight; `exact.state_matrix`
-stores the matrix as int rows over one denominator.  `_shuffle_operator`
-builds the transition matrix row by row from the action, with no matrix
-products: Horner's rule w <- qd^(n-i) s + w . (qd T_i) for i = n-1, ..., 1,
-on a sparse {state: int} dict w, gives qd^(n-1) s . (1 + T_1 + T_2 T_1 + ...
+(target, coeff) pairs of s . (qd T_i)) and its weight; the matrix is
+stored as int rows over one denominator.  `_shuffle_operator` builds the
+transition matrix row by row from the action, with no matrix products:
+Horner's rule w <- qd^(n-i) s + w . (qd T_i) for i = n-1, ..., 1, on a
+sparse {row index: int} dict w, gives qd^(n-1) s . (1 + T_1 + T_2 T_1 + ...
 + T_{n-1} ... T_1).  Each target is scaled by its weight's numerator over
 the weights' lcm d, over the denominator qd^(n-1) d.  The word chain uses
 it with `_act`, the flag chain (`flags.transition_matrix_flags_hecke`) with
@@ -283,29 +283,29 @@ def transition_matrix_perm(rates: PermRates) -> LinearOperator:
 def _shuffle_operator(states, act, n, qd, weight):
     """Matrix of sum_{i=1}^{n} T_{i-1} ... T_1 X from the integer action
     act(s, i) of qd T_i and the diagonal weight(t) of X, one sparse row per
-    state, by Horner's rule on ints (see the module docstring).  The action
-    is tabulated per generator as {u: act(u, i)}, each entry on first use,
-    with zero coefficients dropped and every target replaced by the equal
-    state of `states`, so the table holds no copies of the states."""
-    d, numerators = integer_numerators([weight(t) for t in states])
-    scaled = dict(zip(states, numerators))
-    tables = [{} for _ in range(n)]
-    canonical = {s: s for s in states}
-
-    def row(s):
-        w = {s: 1}
+    state, by Horner's rule on ints (see the module docstring).  Everything
+    runs on row indices: the action is tabulated per generator as a list
+    holding, for row u, the (column, coeff) pairs of act(states[u], i),
+    each filled on first use with zero coefficients dropped; the weights
+    are ints by column.  Each finished row goes to `Matrix` as it is."""
+    d, scaled = integer_numerators([weight(t) for t in states])
+    index = {s: c for c, s in enumerate(states)}
+    tables = [[None] * len(states) for _ in range(n)]
+    lifts = [qd ** (n - i) for i in range(n)]
+    rows = []
+    for r in range(len(states)):
+        w = {r: 1}
         for i in range(n - 1, 0, -1):
             table = tables[i]
-            nxt = {s: qd ** (n - i)}
+            nxt = {r: lifts[i]}
             for u, a in w.items():
-                if (pairs := table.get(u)) is None:
-                    pairs = table[u] = tuple((canonical[t], c) for t, c in act(u, i) if c)
+                if (pairs := table[u]) is None:
+                    pairs = table[u] = tuple((index[t], c) for t, c in act(states[u], i) if c)
                 for t, c in pairs:
                     nxt[t] = nxt.get(t, 0) + a * c
             w = nxt
-        return ((t, a * scaled[t]) for t, a in w.items())
-
-    return state_matrix(states, states, row, qd ** (n - 1) * d)
+        rows.append({t: x for t, a in w.items() if (x := a * scaled[t])})
+    return Matrix._from_int_rows(rows, len(states), qd ** (n - 1) * d)
 
 
 def transition_matrix_word(rates: WordRates) -> LinearOperator:

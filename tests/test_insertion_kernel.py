@@ -11,9 +11,11 @@ checks the same identity on random flags and vectors.
 `mat_mul` sums the products of the integer rows of both factors over
 D_a D_b and divides out the common factor once; the dense Fraction product
 is its reference.  `products_equal` compares two products row by row; the
-stored products compared with `==` are its reference.
+stored products compared with `==` are its reference.  `decode` reads
+each code's tuple from a memo; the digit arithmetic is its reference.
 """
 
+import itertools
 from fractions import Fraction as F
 from math import gcd
 
@@ -29,6 +31,7 @@ from qtsetlin.flags import (
     _vector_codes,
     enumerate_lines,
     insert_line,
+    span_basis,
 )
 from test_flag_kernel import _canonical_columns, _entry_step, canonicalize_coset
 
@@ -133,6 +136,29 @@ def test_vector_codes_round_trip_and_memo():
     assert codes.decode(codes.minus[x, 3, y]) == (1, 2, 3)
     assert codes.decode(codes.minus[x, 1, y]) == (3, 1, 4)
     assert codes.pivot[codes.encode((0, 3, 2))] == (1, codes.encode((0, 1, 4)))
+
+
+@pytest.mark.parametrize("n,p", [(2, 5), (3, 3), (4, 2)], ids=str)
+def test_decode_reads_the_memo_and_agrees_with_the_digits(n, p):
+    """Code x is the x-th vector of F_p^n in lexicographic order; `decode`
+    fills its memo with that tuple once and then returns the stored one."""
+    codes = _VectorCodes(n, p)
+    vectors = list(itertools.product(range(p), repeat=n))
+    assert [codes.decode(x) for x in range(p**n)] == vectors
+    memo = codes.decode.__self__
+    assert len(memo) == p**n
+    for x, v in enumerate(vectors):
+        assert memo[x] == v == codes._digits(x)
+        assert codes.decode(x) is memo[x]
+    assert len(memo) == p**n
+
+
+def test_span_basis_accepts_list_vectors():
+    as_lists = [[1, 2, 0], [2, 1, 1], [0, 0, 2]]
+    basis = span_basis(as_lists, 3)
+    assert basis == span_basis([tuple(v) for v in as_lists], 3)
+    assert all(type(v) is tuple for v in basis)
+    assert span_basis([[0, 1, 1], [0, 2, 2]], 3) == ((0, 1, 1),)
 
 
 # ---------------------------------------------------------------------------
