@@ -165,11 +165,20 @@ def q_derangement(k: int, q) -> Fraction:
 
 def perm_states(n: int):
     """All of S_n in lexicographic order on one-line notation."""
-    return [tuple(p) for p in itertools.permutations(range(1, n + 1))]
+    return list(_content_states((1,) * n))
 
 
 def word_states(m):
     """All words of content m in lexicographic order."""
+    return list(_content_states(tuple(m)))
+
+
+@lru_cache(maxsize=64)
+def _content_states(m) -> tuple:
+    """The words of the content tuple m in lexicographic order, S_n at
+    (1^n): enumerated once per content, and shared by every caller."""
+    if all(part == 1 for part in m):
+        return tuple(itertools.permutations(range(1, len(m) + 1)))
     letters = len(m)
     out = []
 
@@ -186,7 +195,7 @@ def word_states(m):
                 remaining[j] += 1
 
     build([], list(m))
-    return out
+    return tuple(out)
 
 
 def enumerate_upper_sets(m):
@@ -208,7 +217,7 @@ def linear_extensions(m, removed=None):
     chains = [block[: part - cut] for block, part, cut in zip(block_sets(m), m, removed)]
     chains = [chain for chain in chains if chain]
     out = []
-    for word in word_states([len(chain) for chain in chains]):
+    for word in _content_states(tuple(len(chain) for chain in chains)):
         labels = [iter(chain) for chain in chains]
         out.append(tuple(next(labels[j - 1]) for j in word))
     return out

@@ -47,7 +47,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import prod
 
-from .combinatorics import perm_states
+from .combinatorics import _content_states
 from .exact import integer_numerators, record, state_matrix
 from .hecke_chains import LinearOperator, PermRates, _shuffle_operator
 
@@ -270,7 +270,7 @@ def enumerate_flags(n: int, p: int):
     lexicographic order, free entries in column-major lexicographic order."""
     _check_prime(p)
     out = []
-    for perm in perm_states(n):
+    for perm in _content_states((1,) * n):
         col_of_row = {row: c for c, row in enumerate(perm, start=1)}
         free = [
             (r, c)
@@ -503,10 +503,23 @@ class PartialFlag(record("PartialFlag", "chain n p")):
 
 
 def lrb_product(a: PartialFlag, b: PartialFlag) -> PartialFlag:
-    """Concatenate-and-saturate product; repeated subspaces are removed."""
+    """Concatenate-and-saturate product; repeated subspaces are removed: a's
+    chain stays, and its top's codes grow by each subspace of b in turn."""
     if a.n != b.n or a.p != b.p:
         raise ValueError("partial flags live in different spaces")
-    return PartialFlag.from_vectors([*a.chain, *b.chain], a.n, a.p)
+    if not a.chain:
+        return b
+    if len(a.chain[-1]) == a.n:
+        return a
+    codes = _vector_codes(a.n, a.p)
+    placed = [codes.pivot[codes.encode(v)] for v in a.chain[-1]]
+    chain = list(a.chain)
+    for sub in b.chain:
+        size = len(placed)
+        codes.extend(placed, sub)
+        if len(placed) > size:
+            chain.append(tuple(codes.decode(col) for _, col in placed))
+    return PartialFlag(tuple(chain), a.n, a.p)
 
 
 def _path_weights(rates: PermRates, p: int):

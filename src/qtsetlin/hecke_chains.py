@@ -39,7 +39,7 @@ from functools import cached_property, lru_cache
 from math import factorial
 from types import MappingProxyType
 
-from .combinatorics import enumerate_upper_sets, q_factorial, q_int, word_states
+from .combinatorics import _content_states, enumerate_upper_sets, q_factorial, q_int
 from .exact import Matrix, integer_numerators, mat_mul, record, state_matrix
 
 __all__ = [
@@ -246,7 +246,7 @@ def hecke_generator_word(i: int, m, q) -> LinearOperator:
     n = sum(m)
     if not 1 <= i <= n - 1:
         raise ValueError(f"generator index {i} out of range for n={n}")
-    states = tuple(word_states(m))
+    states = _content_states(tuple(m))
     return LinearOperator(states, _generator_matrix(states, i, q))
 
 
@@ -257,7 +257,7 @@ def weight_op_perm(rates: PermRates) -> LinearOperator:
 
 def weight_op_word(rates: WordRates) -> LinearOperator:
     """Diagonal operator sending a word to ybar_{w_1} times itself."""
-    states = tuple(word_states(rates.m))
+    states = _content_states(rates.m)
     return LinearOperator(states, state_matrix(states, states, lambda w: ((w, rates.ybar(w[0])),)))
 
 
@@ -311,7 +311,7 @@ def _shuffle_operator(states, act, n, qd, weight):
 def transition_matrix_word(rates: WordRates) -> LinearOperator:
     """Transition matrix of the weighted shuffle on words of content m."""
     qn, qd = rates.q.numerator, rates.q.denominator
-    states = tuple(word_states(rates.m))
+    states = _content_states(rates.m)
     ybar = [rates.ybar(j) for j in range(1, rates.letters + 1)]
     matrix = _shuffle_operator(
         states, lambda u, i: _act(u, i, qn, qd), rates.n, qd, lambda t: ybar[t[0] - 1]

@@ -20,15 +20,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from .combinatorics import (
-    block_sets,
-    destandardize,
-    inv,
-    perm_states,
-    q_int,
-    standardize,
-    word_states,
-)
+from .combinatorics import _content_states, block_sets, destandardize, inv, q_int, standardize
 from .exact import products_equal, record, state_matrix
 from .hecke_chains import (
     PermRates,
@@ -74,7 +66,7 @@ def proj_flags_to_perms(n: int, p: int) -> IntertwinerMatrix:
     """0/1 matrix sending each coset to its double-coset permutation."""
     from .flags import _flag_states, coset_to_perm
 
-    return _projection(_flag_states(n, p), tuple(perm_states(n)), coset_to_perm)
+    return _projection(_flag_states(n, p), _content_states((1,) * n), coset_to_perm)
 
 
 def incl_perms_to_flags(n: int, p: int) -> IntertwinerMatrix:
@@ -83,7 +75,7 @@ def incl_perms_to_flags(n: int, p: int) -> IntertwinerMatrix:
     from .flags import _flag_states, coset_to_perm
 
     flags = _flag_states(n, p)
-    perms = tuple(perm_states(n))
+    perms = _content_states((1,) * n)
     cosets = {perm: [] for perm in perms}
     for f in flags:
         cosets[coset_to_perm(f)].append(f)
@@ -98,7 +90,8 @@ def incl_perms_to_flags(n: int, p: int) -> IntertwinerMatrix:
 
 def proj_perms_to_words(m) -> IntertwinerMatrix:
     """0/1 matrix sending a permutation to its destandardized word."""
-    return _projection(tuple(perm_states(sum(m))), tuple(word_states(m)), lambda perm: destandardize(perm, m))
+    perms, words = _content_states((1,) * sum(m)), _content_states(tuple(m))
+    return _projection(perms, words, lambda perm: destandardize(perm, m))
 
 
 def young_subgroup(m):
@@ -134,8 +127,7 @@ def incl_words_to_perms(m, q) -> IntertwinerMatrix:
     """Each word spreads over its standardization fiber with coefficients
     q^(-inv_m(tau))."""
     q = Fraction(q)
-    perms = tuple(perm_states(sum(m)))
-    words = tuple(word_states(m))
+    perms, words = _content_states((1,) * sum(m)), _content_states(tuple(m))
     taus = [(tau, q ** -inv_blockwise(tau, m)) for tau in young_subgroup(m)]
 
     def row(w):

@@ -2,13 +2,13 @@
 Closed-form stationary distributions of the three chains, and the
 independent left-null-space oracle they are checked against.
 
-Each closed form is a product of explicit factors.  The factor lists are
-exposed separately (`word_factors`, `flag_coset_factors`) so that positivity
-can be asserted factor by factor and zero denominators can be reported
-eagerly, naming the state and the offending factor.  The permutation chain is
-the word chain at content (1^n), so `kappa_word` and `word_factors` take
-`PermRates` as they are and `stationary_perm_formula` delegates to its word
-version.
+Each closed form is a product of explicit factors, each kept as an int over
+one positive scale per rates object, so positivity can be asserted on ints
+factor by factor (`word_factors` and `flag_coset_factors` give them as
+Fractions) and a zero denominator is reported by state and factor.  The
+permutation chain is the word chain at content (1^n), so `kappa_word` and
+`word_factors` take `PermRates` as they are and `stationary_perm_formula`
+delegates to its word version.
 
 Each factor of a word w depends on little of it: the prefactor on inv(w), the
 k-th denominator on the content of w[:k-1], the k-th numerator on the letter
@@ -46,9 +46,9 @@ the end, and `printed_items` picks its state printer once per vector.
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
-from .combinatorics import inv, perm_states, q_factorial, state_key, state_names
+from .combinatorics import _content_states, inv, q_factorial, state_key, state_names
 from .exact import _combine_rows, integer_numerators, left_null_space, record, shift
 from .hecke_chains import LinearOperator, PermRates, WordRates
 
@@ -222,22 +222,6 @@ def word_factors(word, rates: WordRates):
     )
 
 
-def _product_of_factors(state, nums, dens):
-    """prod(nums) / prod(dens) of the flag formula, multiplied out on integers
-    and reduced once."""
-    a = b = 1
-    for f in nums:
-        a *= f.numerator
-        b *= f.denominator
-    for k, d in enumerate(dens, start=1):
-        if d == 0:
-            name = state_key(state)
-            raise ValueError(f"flag formula denominator factor k={k} vanishes at state {name}")
-        a *= d.denominator
-        b *= d.numerator
-    return Fraction(a, b)
-
-
 def stationary_perm_formula(rates: PermRates) -> StationaryVector:
     return stationary_word_formula(rates)
 
@@ -289,51 +273,57 @@ def stationary_word_formula(rates: WordRates) -> StationaryVector:
     return StationaryVector(tuple(states), tuple(values))
 
 
+def _flag_factor_ints(perm, rates: PermRates):
+    """(scale > 0, scale times each numerator, and each denominator factor
+    of the flag closed form at perm), on ints.  With x_s = X_s/L, q = qn/qd
+    and Q = qn^(n-1), x_s / q^e = W_s(e) / (L Q) for the table W_s(e) =
+    X_s qd^e qn^(n-1-e), 0 <= e < n, kept in the rates' factor memo under
+    "flag"; the total is T/L, and scale = L qd |Q T|."""
+    memo = rates._factor_memo
+    if (consts := memo.get("flag")) is None:
+        if rates.total() == 0:
+            raise ValueError("flag formula requires a nonzero total rate")
+        n, qn, qd = rates.n, rates.q.numerator, rates.q.denominator
+        lcd, xs = integer_numerators(rates.x)
+        qt = qn ** (n - 1) * sum(xs)
+        sign = 1 if qt > 0 else -1
+        table = [[x * qd**e * qn ** (n - 1 - e) for e in range(n)] for x in xs]
+        consts = memo["flag"] = lcd * qd * qt * sign, table, qt, qd * sum(xs) * sign, lcd * sign, qn - qd, qd
+    scale, table, qt, dmul, fmul, below, at = consts
+    n = len(perm)
+    nums, dens = [], []
+    for k, v in enumerate(perm):
+        prefix = perm[:k]
+        terms = {s: table[s - 1][n - s - sum(1 for t in prefix if t > s)] for s in perm[: k + 1]}
+        dens.append((qt - sum(terms[s] for s in prefix)) * dmul)
+        nums.append((below * sum(terms[s] for s in prefix if s < v) + at * terms[v]) * fmul)
+    return scale, nums, dens
+
+
 def flag_coset_factors(perm, rates: PermRates):
     """(numerator factors, denominator factors) of the flag closed form for
     the distinguished coset of one permutation.  The k = n factor equals 1
     when the rates sum to 1."""
-    n = len(perm)
-    q = rates.q
-    total = rates.total()
-    if total == 0:
-        raise ValueError("flag formula requires a nonzero total rate")
-    nums = []
-    dens = []
-    for k in range(1, n + 1):
-        prefix = perm[: k - 1]
-        pik = perm[k - 1]
-
-        def b(s):
-            return sum(1 for t in prefix if t > s)
-
-        f = Fraction(0)
-        for s in perm[:k]:
-            if s <= pik:
-                term = rates.x[s - 1] / (q ** (n - s - b(s)) * total)
-                if s < pik:
-                    term *= q - 1
-                f += term
-        d = total - sum(
-            (rates.x[s - 1] / q ** (n - s - b(s)) for s in prefix), Fraction(0)
-        )
-        nums.append(f)
-        dens.append(d)
-    return nums, dens
+    scale, nums, dens = _flag_factor_ints(perm, rates)
+    return [Fraction(f, scale) for f in nums], [Fraction(d, scale) for d in dens]
 
 
 def stationary_flags_formula(rates: PermRates, p: int) -> StationaryVector:
     """Closed form over all flags; constant on each double coset, so it is
-    evaluated once per permutation and spread over the coset."""
+    evaluated once per permutation and spread over the coset.  A
+    permutation has n factors of each kind, so their common scale cancels
+    and the products stay on ints."""
     from .flags import _check_rates, _flag_states, coset_to_perm
 
     _check_rates(rates, p)
-    n = rates.n
     per_perm = {}
-    for perm in perm_states(n):
-        nums, dens = flag_coset_factors(perm, rates)
-        per_perm[perm] = _product_of_factors(perm, nums, dens)
-    states = _flag_states(n, p)
+    for perm in _content_states((1,) * rates.n):
+        _, nums, dens = _flag_factor_ints(perm, rates)
+        if 0 in dens:
+            k = dens.index(0) + 1
+            raise ValueError(f"flag formula denominator factor k={k} vanishes at state {state_key(perm)}")
+        per_perm[perm] = Fraction(prod(nums), prod(dens))
+    states = _flag_states(rates.n, p)
     return StationaryVector(states, tuple(per_perm[coset_to_perm(f)] for f in states))
 
 
@@ -342,7 +332,7 @@ def classical_tsetlin_stationary(x) -> StationaryVector:
     prod_i x_{pi_i} / (x_{pi_{i+1}} + ... + x_{pi_n})."""
     x = tuple(Fraction(v) for v in x)
     n = len(x)
-    states = tuple(perm_states(n))
+    states = _content_states((1,) * n)
     values = []
     for perm in states:
         value = Fraction(1)

@@ -19,8 +19,8 @@ import random
 from fractions import Fraction
 from functools import partial
 
-from .combinatorics import coinv, derangement, perm_states, q_int, word_states
-from .exact import Matrix, mat_mul, shift, vec_mat
+from .combinatorics import _content_states, coinv, derangement, inv, q_int
+from .exact import Matrix, mat_mul, products_equal, vec_mat
 from .flags import (
     PartialFlag,
     coset_to_perm,
@@ -41,7 +41,7 @@ from .hecke_chains import (
 )
 from .lumping import map_rates_word_to_perm, proj_flags_to_perms, proj_perms_to_words
 from .spectra import verify_multiplicities
-from .stationary import classical_tsetlin_stationary, flag_coset_factors, word_factors
+from .stationary import _factor_memo, _flag_factor_ints, _position_factors, classical_tsetlin_stationary
 
 # The stationary suite runs the path method up to this many flags.
 FLAG_PATH_CAP = 60
@@ -242,16 +242,34 @@ def _word_lumping_checks(chain):
 
 
 def _hecke_relations(gens, q):
+    """(T_i + 1)(T_i - q) = 0, T_i T_j = T_j T_i for |i - j| > 1 and
+    T_i T_j T_i = T_j T_i T_j for j = i + 1, each compared row by row."""
     for i, ti in enumerate(gens):
-        if not mat_mul(shift(ti, -1), shift(ti, q)).is_zero():
+        if not _quadratic_vanishes(ti, q):
             return False
         for j in range(i + 2, len(gens)):
-            if mat_mul(ti, gens[j]) != mat_mul(gens[j], ti):
+            if not products_equal(ti, gens[j], gens[j], ti):
                 return False
         if i + 1 < len(gens):
             tj = gens[i + 1]
-            if mat_mul(mat_mul(ti, tj), ti) != mat_mul(mat_mul(tj, ti), tj):
+            if not products_equal(mat_mul(ti, tj), ti, mat_mul(tj, ti), tj):
                 return False
+    return True
+
+
+def _quadratic_vanishes(t: Matrix, q):
+    """(T + 1)(T - q) = 0 for T = A/d and q = a/b, as (A + dI)(bA - adI) = 0
+    on the int rows of A, one row of the product at a time."""
+    a, b, d, rows = q.numerator, q.denominator, t.denominator, t.int_rows
+    for r, row in enumerate(rows):
+        left = {**row, r: row.get(r, 0) + d}
+        out = {}
+        for j, x in left.items():
+            out[j] = out.get(j, 0) - a * d * x
+            for k, y in rows[j].items():
+                out[k] = out.get(k, 0) + b * x * y
+        if any(out.values()):
+            return False
     return True
 
 
@@ -322,18 +340,20 @@ def _properties_checks(n_max, p_list, seed):
         # The draw is made either way, so the later draws do not depend on the cap.
         if chain.fits():
             draws.append(chain)
-    ok = all(set(c.operator().matrix.row_sums()) == {c.rates.total()} for c in draws)
+    ok = all(_rows_sum_to(c.operator().matrix, c.rates.total()) for c in draws)
     checks.append((f"row sums equal the total rate on {len(draws)} random configurations", ok))
 
     ok = True
     generic = perm_chains(n_max, lambda n: seed + n) + word_chains(n_max, seed, keep_ones=True)
+    # The closed forms multiply these ints, each a factor times a scale > 0.
     for chain in generic:
-        for word in word_states(chain.rates.m):
-            pre, nums, dens = word_factors(word, chain.rates)
-            ok = ok and pre > 0 and all(f > 0 for f in nums + dens)
+        rates, pre = chain.rates, _factor_memo(chain.rates)["pre"]
+        for word in _content_states(rates.m):
+            ok = ok and pre[inv(word)][0] > 0
+            ok = ok and all(x > 0 for k in range(1, rates.n) for x in _position_factors(word, k, rates))
     for chain in flag_chains(n_max, p_list[:1], lambda n: seed + n, cap=None):
-        for perm in perm_states(chain.rates.n):
-            nums, dens = flag_coset_factors(perm, chain.rates)
+        for perm in _content_states((1,) * chain.rates.n):
+            _, nums, dens = _flag_factor_ints(perm, chain.rates)
             ok = ok and all(f > 0 for f in nums + dens)
     checks.append(("every stationary factor is positive at q >= 1, rates > 0", ok))
 
@@ -352,6 +372,11 @@ def _properties_checks(n_max, p_list, seed):
     ok = all(sum(e.multiplicity for e in chain.catalog()) == chain.size() for chain in chains)
     checks.append(("catalog multiplicities always sum to the state-space size", ok))
     return checks
+
+
+def _rows_sum_to(m: Matrix, t):
+    """Every row of m = A/D sums to t = a/b: b sum(A[r]) == a D, on ints."""
+    return all(sum(row.values()) * t.denominator == t.numerator * m.denominator for row in m.int_rows)
 
 
 def _random_partial_flag(rng, n, p):

@@ -335,3 +335,55 @@ def test_zero_batches_give_the_empty_flag_which_is_the_identity(n, p):
     # a zero batch in front is not a step either
     first = (1,) + (0,) * (n - 1)
     assert PartialFlag.from_vectors([[zero], [first]], n, p).chain == ((first,),)
+
+
+# ---------------------------------------------------------------------------
+# The product on codes against the reference product
+
+
+def all_partial_flags(n, p):
+    """Every chain of nonzero subspaces of F_p^n, the empty one included."""
+    space = list(itertools.product(range(p), repeat=n))
+    subspaces = {reference_span_basis(vs, p) for k in range(n + 1) for vs in itertools.combinations(space, k)}
+    subspaces = sorted(subspaces - {()}, key=lambda sub: (len(sub), sub))
+
+    def chains(prefix):
+        yield PartialFlag(tuple(prefix), n, p)
+        for sub in subspaces:
+            if not prefix or (len(sub) > len(prefix[-1]) and reference_span_basis(sub + prefix[-1], p) == sub):
+                yield from chains([*prefix, sub])
+
+    return list(chains([]))
+
+
+@pytest.mark.parametrize("n, p, count", [(2, 2, 8), (2, 3, 10), (3, 2, 72)])
+def test_lrb_product_matches_reference_on_every_pair(n, p, count):
+    flags = all_partial_flags(n, p)
+    assert len(flags) == count
+    empty = PartialFlag((), n, p)
+    fulls = [a for a in flags if a.chain and len(a.chain[-1]) == n]
+    assert empty in flags and fulls
+    for a in flags:
+        for b in flags:
+            assert lrb_product(a, b) == reference_lrb_product(a, b), (a, b)
+        assert lrb_product(empty, a) == a == lrb_product(a, empty)
+    for full in fulls:
+        assert all(lrb_product(full, b) == full for b in flags)
+
+
+@st.composite
+def partial_flag_pairs(draw):
+    n, p = draw(st.sampled_from([(4, 3), (4, 5)]))
+    vector = st.tuples(*[st.integers(0, p - 1)] * n)
+    batches = st.lists(st.lists(vector, min_size=1, max_size=2), max_size=5)
+    a, b = (reference_from_vectors(draw(batches), n, p) for _ in range(2))
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(partial_flag_pairs())
+def test_lrb_product_matches_reference_on_random_pairs_n4(pair):
+    a, b = pair
+    assert lrb_product(a, b) == reference_lrb_product(a, b)
+    assert lrb_product(b, a) == reference_lrb_product(b, a)
+    assert lrb_product(a, a) == a
