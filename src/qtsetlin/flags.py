@@ -48,7 +48,7 @@ from functools import lru_cache
 from math import prod
 
 from .combinatorics import _content_states
-from .exact import integer_numerators, record, state_matrix
+from .exact import record, state_matrix
 from .hecke_chains import LinearOperator, PermRates, _shuffle_operator
 
 __all__ = [
@@ -448,7 +448,8 @@ def transition_matrix_flags(rates: PermRates, p: int) -> LinearOperator:
     of L at the column obtained by inserting L in front of F."""
     _check_rates(rates, p)
     states, leads, targets = _insertion_table(rates.n, p)
-    d, scaled = integer_numerators([rates.y(lead) for lead in leads])
+    d, ys = rates.ybar_ints
+    scaled = [ys[lead - 1] for lead in leads]
     index = range(len(states))
     matrix = state_matrix(index, index, lambda f: zip(targets[f], scaled), d)
     return LinearOperator(states, matrix)
@@ -460,7 +461,7 @@ def transition_matrix_flags_hecke(rates: PermRates, p: int) -> LinearOperator:
     transition_matrix_flags."""
     _check_rates(rates, p)
     states = _flag_states(rates.n, p)
-    matrix = _shuffle_operator(states, _act_coset, rates.n, 1, _flag_weight(rates))
+    matrix = _shuffle_operator(states, _act_coset, rates, lambda f: coset_to_perm(f)[0])
     return LinearOperator(states, matrix)
 
 
@@ -468,12 +469,12 @@ def transition_matrix_flags_hecke(rates: PermRates, p: int) -> LinearOperator:
 # Subspaces and the partial-flag semigroup
 
 
-def _span_steps(n, p, batches):
-    """The reduced echelon basis, ordered by pivot row, of the span of the
-    batches so far, after each batch that grows it; so never the zero
-    subspace."""
+def _span_steps(n, p, batches, placed=()):
+    """The reduced echelon basis, ordered by pivot row, of the span of
+    `placed` (the (lead row, code) pairs of a reduced echelon basis) and the
+    batches so far, after each batch that grows it."""
     codes = _vector_codes(n, p)
-    placed = []
+    placed = list(placed)
     for batch in batches:
         size = len(placed)
         codes.extend(placed, batch)
@@ -512,27 +513,21 @@ def lrb_product(a: PartialFlag, b: PartialFlag) -> PartialFlag:
     if len(a.chain[-1]) == a.n:
         return a
     codes = _vector_codes(a.n, a.p)
-    placed = [codes.pivot[codes.encode(v)] for v in a.chain[-1]]
-    chain = list(a.chain)
-    for sub in b.chain:
-        size = len(placed)
-        codes.extend(placed, sub)
-        if len(placed) > size:
-            chain.append(tuple(codes.decode(col) for _, col in placed))
-    return PartialFlag(tuple(chain), a.n, a.p)
+    top = [codes.pivot[codes.encode(v)] for v in a.chain[-1]]
+    return PartialFlag(a.chain + tuple(_span_steps(a.n, a.p, b.chain, top)), a.n, a.p)
 
 
 def _path_weights(rates: PermRates, p: int):
-    """(D, [D y_1, ..., D y_n]) with D the lcm of the line weights' denominators,
-    after checking p and that the rates sum to 1; kept in the rates' factor
-    memo under ("path", p), so it is computed once per (rates, p).  A failed
+    """The line weights `rates.ybar_ints`, (D, (D y_1, ..., D y_n)), after
+    checking p and that the rates sum to 1; kept in the rates' factor memo
+    under ("path", p), so the checks run once per (rates, p).  A failed
     check raises before anything is kept, so it fails on every call."""
     memo = rates._factor_memo
     if (weights := memo.get(("path", p))) is None:
         _check_rates(rates, p)
         if rates.total() != 1:
             raise ValueError("the path method requires rates summing to 1")
-        weights = memo["path", p] = integer_numerators([rates.y(i) for i in range(1, rates.n + 1)])
+        weights = memo["path", p] = rates.ybar_ints
     return weights
 
 

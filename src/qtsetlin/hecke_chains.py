@@ -20,16 +20,17 @@ q = 1 this is the classical move-to-front chain.
 
 The structure constants of T_i lie in Z[q].  With q = qn/qd, every chain
 supplies only its states, its integer generator action act(s, i) (the
-(target, coeff) pairs of s . (qd T_i)) and its weight; the matrix is
-stored as int rows over one denominator.  `_shuffle_operator` builds the
-transition matrix row by row from the action, with no matrix products:
-Horner's rule w <- qd^(n-i) s + w . (qd T_i) for i = n-1, ..., 1, on a
-sparse {row index: int} dict w, gives qd^(n-1) s . (1 + T_1 + T_2 T_1 + ...
-+ T_{n-1} ... T_1).  Each target is scaled by its weight's numerator over
-the weights' lcm d, over the denominator qd^(n-1) d.  The word chain uses
-it with `_act`, the flag chain (`flags.transition_matrix_flags_hecke`) with
-the coset action (qd = 1).  `_shuffle_sum` keeps the product form, a sum of
-products of generator matrices, as an independent oracle.
+(target, coeff) pairs of s . (qd T_i)) and the letter that weights each
+state; the matrix is stored as int rows over one denominator.
+`_shuffle_operator` builds the transition matrix row by row from the
+action, with no matrix products: Horner's rule w <- qd^(n-i) s + w .
+(qd T_i) for i = n-1, ..., 1, on a sparse {row index: int} dict w, gives
+qd^(n-1) s . (1 + T_1 + T_2 T_1 + ... + T_{n-1} ... T_1).  Each target is
+scaled by its letter's numerator in `WordRates.ybar_ints`, the letter
+weights over their lcm D, over the denominator qd^(n-1) D.  The word chain
+uses it with `_act`, the flag chain (`flags.transition_matrix_flags_hecke`)
+with the coset action (qd = 1).  `_shuffle_sum` keeps the product form, a
+sum of products of generator matrices, as an independent oracle.
 
 `Chain` is the one handle on a chain of any of the three spaces.
 """
@@ -88,10 +89,6 @@ class WordRates(record("WordRates", "q xbar m")):
     def _total(self) -> Fraction:
         return sum(self.xbar, Fraction(0))
 
-    def n_j(self, j: int) -> int:
-        """Partial sum m_1 + ... + m_j."""
-        return sum(self.m[:j])
-
     def ybar(self, j: int) -> Fraction:
         """ybar_j = xbar_j / (q^(n - n_j) [m_j]_q), 1-based."""
         return self._ybar[j - 1]
@@ -106,6 +103,13 @@ class WordRates(record("WordRates", "q xbar m")):
         return tuple(out)
 
     @cached_property
+    def ybar_ints(self) -> tuple:
+        """(D, (D ybar_1, ..., D ybar_l)) with D the lcm of the denominators:
+        the one integer form of the letter weights every builder reads."""
+        d, ints = integer_numerators(self._ybar)
+        return d, tuple(ints)
+
+    @cached_property
     def upper_set_values(self) -> MappingProxyType:
         """Read-only {a: lambda_a} for every upper set a of
         `enumerate_upper_sets(m)`, in its order: lambda_a = sum_j ybar_j
@@ -116,7 +120,7 @@ class WordRates(record("WordRates", "q xbar m")):
         of a from the last, a_l times l, then a_(l-1) times l-1, and so on.
         With ybar_j = Y_j / D and q = qn/qd that is an integer over
         D qd^(n-1): one Fraction per upper set."""
-        d, ints = integer_numerators(self._ybar)
+        d, ints = self.ybar_ints
         qn, qd = self.q.numerator, self.q.denominator
         top = max(self.n - 1, 0)
         powers = [qn**t * qd ** (top - t) for t in range(self.n)]
@@ -133,14 +137,8 @@ class WordRates(record("WordRates", "q xbar m")):
 
     @cached_property
     def kappa_coeffs(self) -> tuple:
-        """c_j = xbar_j q^(n_j) / [m_j]_q for every letter j, computed once."""
-        q = self.q
-        out = []
-        n_j = 0
-        for xbar, part in zip(self.xbar, self.m):
-            n_j += part
-            out.append(xbar * q**n_j / q_int(part, q))
-        return tuple(out)
+        """c_j = xbar_j q^(n_j) / [m_j]_q = ybar_j q^n for every letter j."""
+        return tuple(y * self.q**self.n for y in self._ybar)
 
     @cached_property
     def kappa_ints(self) -> tuple:
@@ -280,15 +278,17 @@ def transition_matrix_perm(rates: PermRates) -> LinearOperator:
     return transition_matrix_word(rates)
 
 
-def _shuffle_operator(states, act, n, qd, weight):
-    """Matrix of sum_{i=1}^{n} T_{i-1} ... T_1 X from the integer action
-    act(s, i) of qd T_i and the diagonal weight(t) of X, one sparse row per
-    state, by Horner's rule on ints (see the module docstring).  Everything
-    runs on row indices: the action is tabulated per generator as a list
-    holding, for row u, the (column, coeff) pairs of act(states[u], i),
-    each filled on first use with zero coefficients dropped; the weights
-    are ints by column.  Each finished row goes to `Matrix` as it is."""
-    d, scaled = integer_numerators([weight(t) for t in states])
+def _shuffle_operator(states, act, rates, lead):
+    """Matrix of sum_{i=1}^{n} T_{i-1} ... T_1 X, X weighting state t by
+    ybar_{lead(t)}, from the integer action act(s, i) of qd T_i at q =
+    rates.q, one sparse row per state, by Horner's rule on ints (see the
+    module docstring).  Everything runs on row indices: the action is
+    tabulated per generator as a list holding, for row u, the (column,
+    coeff) pairs of act(states[u], i), each filled on first use with zero
+    coefficients dropped.  Each finished row goes to `Matrix` as it is."""
+    n, qd = rates.n, rates.q.denominator
+    d, ys = rates.ybar_ints
+    scaled = [ys[lead(t) - 1] for t in states]
     index = {s: c for c, s in enumerate(states)}
     tables = [[None] * len(states) for _ in range(n)]
     lifts = [qd ** (n - i) for i in range(n)]
@@ -312,11 +312,7 @@ def transition_matrix_word(rates: WordRates) -> LinearOperator:
     """Transition matrix of the weighted shuffle on words of content m."""
     qn, qd = rates.q.numerator, rates.q.denominator
     states = _content_states(rates.m)
-    ybar = [rates.ybar(j) for j in range(1, rates.letters + 1)]
-    matrix = _shuffle_operator(
-        states, lambda u, i: _act(u, i, qn, qd), rates.n, qd, lambda t: ybar[t[0] - 1]
-    )
-    return LinearOperator(states, matrix)
+    return LinearOperator(states, _shuffle_operator(states, lambda u, i: _act(u, i, qn, qd), rates, lambda t: t[0]))
 
 
 # The suites that `suites.run_suite` runs, and the flag cap of `Chain.fits`:

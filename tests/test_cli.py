@@ -302,6 +302,26 @@ class TestConfigErrors:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("stationary --space perm --n 3 --q 2 --rates 1/0,1,1", "bad rate list '1/0,1,1'"),
+            ("stationary --space word --m 1,1 --q 2 --rates 1", "expected 2 rates, got 1"),
+            ("matrix --space flag --n 3", "flag space requires --p"),
+            ("matrix --space flag --p 2", "flag space requires --n"),
+            ("matrix --space perm --n 3", "perm space requires --q"),
+            (
+                "stationary --space flag --n 3 --p 2 --rates 1,1,1 --method semigroup",
+                "--method semigroup requires rates summing to 1",
+            ),
+            ("lump-check --m 2,1", "word diagrams require --q"),
+        ],
+    )
+    def test_refusal_is_one_error_line(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize(
         "argv, name",
         [
             ("matrix --space perm --n 2 --q 2 --p 5", "--p"),

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from qtsetlin import spectra, suites
 from qtsetlin.cli import main
 from qtsetlin.combinatorics import derangement, q_int
 from qtsetlin.exact import Matrix
@@ -68,6 +69,17 @@ class TestPermCatalog:
         for e in eigen_catalog_perm(rates):
             assert e.value == sum((rates.x[i - 1] for i in e.label), F(0))
             assert e.multiplicity == derangement(4 - len(e.label))
+
+    def test_q1_suite_catches_a_planted_derangement_count(self, monkeypatch):
+        # The suite must count the multiplicities apart from the catalog:
+        # planted in both modules, a shared count would still agree.
+        line = "q=1 catalog reduces to subset sums with derangement multiplicities"
+        assert all(ok for job in suites.suite_q1(4, (2,), 0) for _, ok in job())
+        planted = lambda k: derangement(k) + 1  # noqa: E731
+        monkeypatch.setattr(spectra, "derangement", planted)
+        monkeypatch.setattr(suites, "derangement", planted, raising=False)
+        verdicts = [ok for job in suites.suite_q1(4, (2,), 0) for name, ok in job() if name.startswith(line)]
+        assert len(verdicts) == 3 and not any(verdicts)
 
     def test_nullities_match(self):
         for n in (2, 3):
