@@ -472,8 +472,9 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except MemoryError:
-        print("error: out of memory: the request needs more memory than this process may use", file=sys.stderr)
-        return 2
+        pass  # print after the handler, once its traceback no longer holds the request's frames
+    print("error: out of memory: the request needs more memory than this process may use", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

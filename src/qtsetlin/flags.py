@@ -47,7 +47,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import prod
 
-from .combinatorics import _content_states
+from .combinatorics import _content_states, q_factorial
 from .exact import record, state_matrix
 from .hecke_chains import LinearOperator, PermRates, _shuffle_operator
 
@@ -340,9 +340,7 @@ def _insertion_targets(states, line_codes, n, p):
     codes = _vector_codes(n, p)
     weights, minus, pivot = codes.weights, codes.minus, codes.pivot
     order = sorted(range(len(states)), key=lambda f: tuple(map(codes.encode, states[f].cols)))
-    spans = [1]  # spans[m] = [m]_p!, the flags below a node of depth n - m
-    for m in range(1, n + 1):
-        spans.append(spans[-1] * (p**m - 1) // (p - 1))
+    spans = [int(q_factorial(m, p)) for m in range(n + 1)]  # the flags below a node of depth n - m
 
     def ranks(mask):
         """{code: rank} of the normalized vectors vanishing on the rows in

@@ -32,6 +32,8 @@ uses it with `_act`, the flag chain (`flags.transition_matrix_flags_hecke`)
 with the coset action (qd = 1).  `_shuffle_sum` keeps the product form, a
 sum of products of generator matrices, as an independent oracle.
 
+`kappa_word` evaluates the weighted letter sum kappa that the upper-set
+eigenvalues and the word closed form's factors (`stationary`) both read.
 `Chain` is the one handle on a chain of any of the three spaces.
 """
 
@@ -113,26 +115,14 @@ class WordRates(record("WordRates", "q xbar m")):
     def upper_set_values(self) -> MappingProxyType:
         """Read-only {a: lambda_a} for every upper set a of
         `enumerate_upper_sets(m)`, in its order: lambda_a = sum_j ybar_j
-        q^(a_{j+1} + ... + a_l) [a_j]_q over the letters with a_j > 0.
-
-        Since q^s [a_j]_q = q^s + ... + q^(s + a_j - 1), lambda_a is
-        sum_{t < |a|} ybar_{j(t)} q^t, with j(t) running through the letters
-        of a from the last, a_l times l, then a_(l-1) times l-1, and so on.
-        With ybar_j = Y_j / D and q = qn/qd that is an integer over
-        D qd^(n-1): one Fraction per upper set."""
-        d, ints = self.ybar_ints
-        qn, qd = self.q.numerator, self.q.denominator
-        top = max(self.n - 1, 0)
-        powers = [qn**t * qd ** (top - t) for t in range(self.n)]
-        den = d * qd**top
+        q^(a_{j+1} + ... + a_l) [a_j]_q over the letters with a_j > 0,
+        which is q^(|a| - n) kappa(b_a) for the word b_a holding a_j copies
+        of letter j: both are sum_{t < |a|} ybar_{j(t)} q^t, with j(t) the
+        letters of b_a from the last (a_l times l, then a_(l-1) times l-1)."""
         out = {}
         for a in enumerate_upper_sets(self.m):
-            num, t = 0, 0
-            for j in range(len(a) - 1, -1, -1):
-                for _ in range(a[j]):
-                    num += ints[j] * powers[t]
-                    t += 1
-            out[a] = Fraction(num, den)
+            b = tuple(j for j, count in enumerate(a, start=1) for _ in range(count))
+            out[a] = self.q ** (len(b) - self.n) * kappa_word(b, self)
         return MappingProxyType(out)
 
     @cached_property
@@ -171,6 +161,25 @@ class PermRates(WordRates):
     def y(self, i: int) -> Fraction:
         """Change of variables y_i = x_i / q^(n-i), 1-based: ybar_i at content (1^n)."""
         return self._ybar[i - 1]
+
+
+def kappa_word(b, rates: WordRates) -> Fraction:
+    """Weighted prefix sum over the weakly decreasing sort of b:
+    sum_i xbar_{b_i} q^(i + n_{b_i} - k - 1) / [m_{b_i}]_q, which for
+    `PermRates` is sum_i x_{b_i} q^(i + b_i - k - 1); empty tuple gives 0.
+
+    With c_j = xbar_j q^(n_j) / [m_j]_q this is sum_i c_{b_i} q^(i - k - 1),
+    evaluated by Horner's rule in 1/q on integers: with c_j = C_j / L and
+    q = qn/qd, the sum after t letters is A / (L qn^t), and the next letter
+    v makes it (A + C_v qn^t) qd / (L qn^(t+1))."""
+    scale, coeffs = rates.kappa_ints
+    qn, qd = rates.q.numerator, rates.q.denominator
+    a = 0
+    power = 1
+    for v in sorted(b, reverse=True):
+        a = (a + coeffs[v - 1] * power) * qd
+        power *= qn
+    return Fraction(a, scale * power)
 
 
 def _random_positive_rationals(count, rng):

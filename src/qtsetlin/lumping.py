@@ -111,16 +111,7 @@ def young_subgroup(m):
 
 def inv_blockwise(tau, m) -> int:
     """Inversions of a Young-subgroup element, summed block by block."""
-    total = 0
-    for block in block_sets(m):
-        images = [tau[v] for v in block]
-        total += sum(
-            1
-            for i in range(len(images))
-            for j in range(i + 1, len(images))
-            if images[i] > images[j]
-        )
-    return total
+    return sum(inv([tau[v] for v in block]) for block in block_sets(m))
 
 
 def incl_words_to_perms(m, q) -> IntertwinerMatrix:
@@ -153,11 +144,7 @@ def map_rates_perm_to_word(rates: PermRates, m) -> WordRates:
     """xbar_j = [m_j]_q x_{n_j}; only defined for m-compatible rates."""
     if not is_m_compatible(rates, m):
         raise ValueError("rates are not m-compatible")
-    xbar = []
-    n_j = 0
-    for part in m:
-        n_j += part
-        xbar.append(q_int(part, rates.q) * rates.x[n_j - 1])
+    xbar = (q_int(len(block), rates.q) * rates.x[block[-1] - 1] for block in block_sets(m))
     return WordRates(rates.q, tuple(xbar), tuple(m))
 
 

@@ -6,8 +6,9 @@ Each closed form is a product of explicit factors, each kept as an int over
 one positive scale per rates object, so positivity can be asserted on ints
 factor by factor (`word_factors` and `flag_coset_factors` give them as
 Fractions) and a zero denominator is reported by state and factor.  The
-permutation chain is the word chain at content (1^n), so `kappa_word` and
-`word_factors` take `PermRates` as they are and `stationary_perm_formula`
+permutation chain is the word chain at content (1^n), so `kappa_word`
+(evaluated in `hecke_chains`, where the upper-set eigenvalues read it too)
+and `word_factors` take `PermRates` as they are and `stationary_perm_formula`
 delegates to its word version.
 
 Each factor of a word w depends on little of it: the prefactor on inv(w), the
@@ -50,7 +51,7 @@ from math import gcd, lcm, prod
 
 from .combinatorics import _content_states, inv, q_factorial, state_key, state_names
 from .exact import _combine_rows, integer_numerators, left_null_space, record, shift
-from .hecke_chains import LinearOperator, PermRates, WordRates
+from .hecke_chains import LinearOperator, PermRates, WordRates, kappa_word
 
 __all__ = [
     "StationaryVector",
@@ -132,34 +133,12 @@ def _add_pair(a, b, c, d):
     return a * (d // g) + c * (b // g), b // g * d
 
 
-def kappa_word(b, rates: WordRates) -> Fraction:
-    """Weighted prefix sum over the weakly decreasing sort of b:
-    sum_i xbar_{b_i} q^(i + n_{b_i} - k - 1) / [m_{b_i}]_q, which for
-    `PermRates` is sum_i x_{b_i} q^(i + b_i - k - 1); empty tuple gives 0.
-
-    With c_j = xbar_j q^(n_j) / [m_j]_q this is sum_i c_{b_i} q^(i - k - 1),
-    evaluated by Horner's rule in 1/q on integers: with c_j = C_j / L and
-    q = qn/qd, the sum after t letters is A / (L qn^t), and the next letter
-    v makes it (A + C_v qn^t) qd / (L qn^(t+1))."""
-    scale, coeffs = rates.kappa_ints
-    qn, qd = rates.q.numerator, rates.q.denominator
-    a = 0
-    power = 1
-    for v in sorted(b, reverse=True):
-        a = (a + coeffs[v - 1] * power) * qd
-        power *= qn
-    return Fraction(a, scale * power)
-
-
 @lru_cache(maxsize=64)
 def _fiber_factor(m, q) -> Fraction:
     """Fiber inversion sum: the factor per part is [m_i]_{1/q}!, that is
     q^(-binom(m_i,2)) [m_i]_q!  (not q^(-m_i+1); the two agree only for
     parts <= 2, and only this form makes the entries sum to 1)."""
-    out = Fraction(1)
-    for part in m:
-        out *= q ** (-(part * (part - 1) // 2)) * q_factorial(part, q)
-    return out
+    return prod((q_factorial(part, 1 / q) for part in m), start=Fraction(1))
 
 
 def _factor_memo(rates: WordRates) -> dict:

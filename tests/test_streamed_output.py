@@ -17,6 +17,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -351,6 +352,31 @@ def test_out_of_memory_is_an_error_line_with_exit_2():
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: out of memory") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+def test_out_of_memory_line_is_written_after_the_request_is_freed(monkeypatch):
+    # The error line is printed once the handler has dropped the traceback,
+    # so the frames of the failed request, and what they hold, are freed.
+    class Partial:
+        pass
+
+    refs, alive = [], []
+
+    def cmd(args):
+        partial = Partial()
+        refs.append(weakref.ref(partial))
+        raise MemoryError
+
+    class Stderr(io.StringIO):
+        def write(self, text):
+            alive.append(refs[0]() is not None)
+            return super().write(text)
+
+    monkeypatch.setattr(cli, "cmd_matrix", cmd)
+    monkeypatch.setattr(sys, "stderr", Stderr())
+    assert main(["matrix", "--space", "perm", "--n", "3"]) == 2
+    assert sys.stderr.getvalue().startswith("error: out of memory")
+    assert alive and not any(alive)
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="Python 3.11+ caps int digits")
